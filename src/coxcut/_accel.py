@@ -1,6 +1,6 @@
 """Optional numba acceleration for the hot inner loops.
 
-The max-flow solver and the brute-force labeling scans are plain-loop
+The brute-force labeling scans and the kernel row sums are plain-loop
 functions written against numpy arrays. When numba is importable and the
 environment variable ``COXCUT_NO_NUMBA`` is not set, they are compiled with
 ``@njit``; otherwise the same functions run uncompiled (correct, much

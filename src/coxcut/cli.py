@@ -134,14 +134,22 @@ def _cmd_predict(args) -> int:
 def _load_covariates(path, label_column: str) -> np.ndarray:
     """Covariate matrix from a CSV; a label column, if present, is ignored."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        rows = [
+            (line_no, r) for line_no, r in enumerate(csv.reader(fh), 1)
+            if r and not r[0].lstrip().startswith("#")
+        ]
     if not rows:
         raise ValueError(f"{path}: empty file, expected a header row")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     keep = [i for i, name in enumerate(header) if name != label_column]
     if not keep:
         raise ValueError(f"{path}: no covariate columns")
-    return np.array([[float(r[i]) for i in keep] for r in rows[1:]])
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no test points")
+    for line_no, r in rows[1:]:
+        if len(r) != len(header):
+            raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(r)}")
+    return np.array([[float(r[i]) for i in keep] for _, r in rows[1:]])
 
 
 def _cmd_ssl(args) -> int:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .mrf import REPRESENTABILITY_TOL, EnergyGraph
 
 # Quantization scale is 2**bits / (largest absolute energy entry), with bits
@@ -32,11 +31,12 @@ _INT_HEADROOM_BITS = 62
 
 @dataclass
 class FlowNetwork:
-    """Capacitated directed graph in adjacency-list arrays.
+    """Capacitated directed graph as a flat list of arc pairs.
 
-    Arcs are stored in pairs: arc a and arc a^1 are mutual reverses.
-    ``arc_cap`` holds residual capacities and is mutated by ``max_flow``;
-    ``arc_cap0`` keeps the original capacities for cut/conservation checks.
+    Arcs are stored in pairs: arc a and arc a^1 are mutual reverses, and the
+    tail of arc a is ``arc_to[a ^ 1]``. ``arc_cap`` holds residual capacities
+    and is mutated by ``max_flow``; ``arc_cap0`` keeps the original
+    capacities for cut/conservation checks.
     """
 
     num_nodes: int
@@ -45,28 +45,29 @@ class FlowNetwork:
     arc_to: np.ndarray
     arc_cap: np.ndarray
     arc_cap0: np.ndarray
-    head: np.ndarray
-    nxt: np.ndarray
+
+    @classmethod
+    def from_arrays(
+        cls, num_nodes: int, source: int, sink: int, tails, heads, caps
+    ) -> "FlowNetwork":
+        """Build a network from parallel arrays of arc tails, heads and integer capacities."""
+        tails, heads, caps = (np.asarray(v, dtype=np.int64) for v in (tails, heads, caps))
+        negative = np.flatnonzero(caps < 0)
+        if len(negative):
+            a = int(negative[0])
+            raise ValueError(f"negative capacity {caps[a]} on arc ({tails[a]}, {heads[a]})")
+        arc_to = np.empty(2 * len(caps), dtype=np.int64)
+        arc_to[0::2] = heads
+        arc_to[1::2] = tails
+        arc_cap = np.zeros(2 * len(caps), dtype=np.int64)
+        arc_cap[0::2] = caps
+        return cls(num_nodes, source, sink, arc_to, arc_cap, arc_cap.copy())
 
     @classmethod
     def from_arcs(cls, num_nodes: int, source: int, sink: int, arcs) -> "FlowNetwork":
         """Build a network from (tail, head, capacity) triples (integer capacities)."""
-        m = 2 * len(arcs)
-        arc_to = np.empty(m, dtype=np.int64)
-        arc_cap = np.empty(m, dtype=np.int64)
-        head = np.full(num_nodes, -1, dtype=np.int64)
-        nxt = np.empty(m, dtype=np.int64)
-        k = 0
-        for u, v, cap in arcs:
-            if cap < 0:
-                raise ValueError(f"negative capacity {cap} on arc ({u}, {v})")
-            for tail, to, c in ((u, v, cap), (v, u, 0)):
-                arc_to[k] = to
-                arc_cap[k] = c
-                nxt[k] = head[tail]
-                head[tail] = k
-                k += 1
-        return cls(num_nodes, source, sink, arc_to, arc_cap, arc_cap.copy(), head, nxt)
+        tails, heads, caps = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+        return cls.from_arrays(num_nodes, source, sink, tails, heads, caps)
 
     def arc_tail(self, a: int) -> int:
         return int(self.arc_to[a ^ 1])
@@ -85,87 +86,87 @@ class QuantizationRecord:
     bits: int
 
 
-def _dinic(head, nxt, arc_to, cap, source, sink):
-    # Shortest-augmenting-path max flow: BFS level graph + DFS blocking flow
-    # with the current-arc optimization. Returns (flow, last BFS levels);
-    # nodes with level >= 0 are the source side of a minimum cut.
-    n = head.shape[0]
-    level = np.empty(n, np.int64)
-    queue = np.empty(n, np.int64)
-    cur = np.empty(n, np.int64)
-    path = np.empty(n, np.int64)
+def _dinic(start, end, to, rev, cap, source, sink):
+    # Dinic's algorithm over plain lists in CSR order: node u owns arc slots
+    # start[u]..end[u]-1, slot a leads to to[a] and rev[a] is its reverse
+    # slot. cap holds Python ints and is updated in place. Each phase builds
+    # a BFS level graph and finds a blocking flow by depth-first search with
+    # current-arc pointers; after an augmentation the search resumes from the
+    # tail of the first saturated arc. Returns (flow, nodes reachable from
+    # the source in the final residual graph).
+    n = len(start)
     total = 0
     while True:
-        for i in range(n):
-            level[i] = -1
+        level = [-1] * n
         level[source] = 0
-        queue[0] = source
-        qh, qt = 0, 1
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            a = head[u]
-            while a != -1:
-                if cap[a] > 0:
-                    v = arc_to[a]
+        queue = [source]
+        for u in queue:  # appending while iterating visits every queued node
+            lu = level[u]
+            if lu == level[sink]:
+                break  # deeper nodes cannot lie on a shortest augmenting path
+            lu += 1
+            for a in range(start[u], end[u]):
+                if cap[a]:
+                    v = to[a]
                     if level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue[qt] = v
-                        qt += 1
-                a = nxt[a]
+                        level[v] = lu
+                        queue.append(v)
         if level[sink] < 0:
-            return total, level
-        for i in range(n):
-            cur[i] = head[i]
+            return total, queue
+        cur = start[:]
+        path = []
+        u = source
         while True:
-            u = source
-            top = 0
-            reached = False
-            while True:
-                if u == sink:
-                    reached = True
+            if u == sink:
+                bottleneck = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= bottleneck
+                    cap[rev[a]] += bottleneck
+                total += bottleneck
+                for i, a in enumerate(path):
+                    if not cap[a]:
+                        break
+                del path[i:]
+                u = to[rev[a]]
+                continue
+            a, e, want = cur[u], end[u], level[u] + 1
+            while a < e and not (cap[a] and level[to[a]] == want):
+                a += 1
+            cur[u] = a
+            if a < e:
+                path.append(a)
+                u = to[a]
+            else:
+                level[u] = -1  # dead end for the rest of this phase
+                if not path:
                     break
-                a = cur[u]
-                advanced = False
-                while a != -1:
-                    v = arc_to[a]
-                    if cap[a] > 0 and level[v] == level[u] + 1:
-                        path[top] = a
-                        top += 1
-                        u = v
-                        advanced = True
-                        break
-                    a = nxt[a]
-                    cur[u] = a
-                if not advanced:
-                    level[u] = -1  # dead end for this phase
-                    if u == source:
-                        break
-                    top -= 1
-                    u = arc_to[path[top] ^ 1]
-            if not reached:
-                break
-            bottleneck = cap[path[0]]
-            for i in range(1, top):
-                if cap[path[i]] < bottleneck:
-                    bottleneck = cap[path[i]]
-            for i in range(top):
-                a = path[i]
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-            total += bottleneck
-
-
-_dinic_impl = _accel.accelerate(_dinic)
+                a = path.pop()
+                u = to[rev[a]]
+                cur[u] = a + 1
 
 
 def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
-    """Solve the network in place; returns (flow value, source-side mask per node)."""
-    flow, level = _dinic_impl(
-        network.head, network.nxt, network.arc_to, network.arc_cap,
-        network.source, network.sink,
+    """Solve the network in place; returns (flow value, source-side mask per node).
+
+    The source side is the set of nodes reachable from the source in the
+    final residual graph: the unique minimal source side of a minimum cut.
+    """
+    n, m = network.num_nodes, len(network.arc_to)
+    tails = network.arc_to[np.arange(m) ^ 1]
+    order = np.argsort(tails, kind="stable")  # CSR slot -> arc
+    slot = np.empty(m, dtype=np.int64)
+    slot[order] = np.arange(m)  # arc -> CSR slot
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=bounds[1:])
+    cap = network.arc_cap[order].tolist()
+    flow, reached = _dinic(
+        bounds[:-1].tolist(), bounds[1:].tolist(), network.arc_to[order].tolist(),
+        slot[order ^ 1].tolist(), cap, network.source, network.sink,
     )
-    return int(flow), level >= 0
+    network.arc_cap[order] = cap
+    source_side = np.zeros(n, dtype=bool)
+    source_side[reached] = True
+    return flow, source_side
 
 
 def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRecord]:
@@ -217,16 +218,17 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     offset += int(theta[theta < 0].sum())
 
     source, sink = u, u + 1
-    arcs = []
-    for k in range(u):
-        if theta[k] > 0:
-            arcs.append((source, k, int(theta[k])))
-        elif theta[k] < 0:
-            arcs.append((k, sink, int(-theta[k])))
-    for p in range(energy.num_pairs):
-        if pair_cap[p] > 0:
-            arcs.append((int(energy.pair_i[p]), int(energy.pair_j[p]), int(pair_cap[p])))
-    network = FlowNetwork.from_arcs(u + 2, source, sink, arcs)
+    # terminal arcs in site order (source -> k for theta > 0, k -> sink for
+    # theta < 0), then every pair arc with positive capacity
+    ks = np.flatnonzero(theta)
+    up = theta[ks] > 0
+    kept = pair_cap > 0
+    network = FlowNetwork.from_arrays(
+        u + 2, source, sink,
+        np.concatenate([np.where(up, source, ks), energy.pair_i[kept]]),
+        np.concatenate([np.where(up, ks, sink), energy.pair_j[kept]]),
+        np.concatenate([np.abs(theta[ks]), pair_cap[kept]]),
+    )
     return network, QuantizationRecord(scale=scale, offset=offset, bits=bits)
 
 

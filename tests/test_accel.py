@@ -4,13 +4,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
-import pytest
-
-from _instances import random_ssl_instance
-from coxcut import _accel
-from coxcut.mincut import FlowNetwork, _dinic, build_flow_network, max_flow
-
 
 def test_env_flag_disables_numba():
     code = (
@@ -20,25 +13,6 @@ def test_env_flag_disables_numba():
     env = dict(os.environ, COXCUT_NO_NUMBA="1")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0 and res.stdout.strip() == "ok"
-
-
-@pytest.mark.skipif(not _accel.USE_NUMBA, reason="numba path inactive")
-def test_dinic_compiled_matches_plain_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        *_, energy = random_ssl_instance(rng, q=2, max_unlabeled=10)
-        net_a, _ = build_flow_network(energy)
-        net_b = FlowNetwork(
-            net_a.num_nodes, net_a.source, net_a.sink, net_a.arc_to.copy(),
-            net_a.arc_cap.copy(), net_a.arc_cap0.copy(), net_a.head.copy(), net_a.nxt.copy(),
-        )
-        flow_fast, side_fast = max_flow(net_a)  # compiled path
-        flow_plain, level = _dinic(  # undecorated plain-loop version
-            net_b.head, net_b.nxt, net_b.arc_to, net_b.arc_cap, net_b.source, net_b.sink
-        )
-        assert flow_fast == flow_plain
-        assert np.array_equal(side_fast, level >= 0)
-        assert np.array_equal(net_a.arc_cap, net_b.arc_cap)
 
 
 def test_fallback_subprocess_solves_identically():

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import coxcut
 from coxcut import Dataset, load_csv, save_csv
 from coxcut.cli import run
 
@@ -89,6 +94,26 @@ class TestPredictEval:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         labels = [int(r[2]) for r in rows[1:]]
         assert set(labels) <= {1, 2}
+
+    @pytest.mark.parametrize(
+        "text, suffix",
+        [
+            ("x1,x2\n0.1,0.2\n0.3\n", " row 3: expected 2 cells, got 1"),
+            ("# comment\nx1,x2,label\n0.1,0.2,1\n0.3,0.4,,\n", " row 4: expected 3 cells, got 4"),
+            ("x1,x2\n", ": no test points"),
+        ],
+        ids=["short-row", "long-row", "header-only"],
+    )
+    def test_malformed_test_file_is_one_line_error(self, tmp_path, capsys, text, suffix):
+        data = _gen_circles(tmp_path, capsys)
+        test = tmp_path / "test.csv"
+        test.write_text(text)
+        code, _, err = _run(
+            capsys, "predict", "--train", str(data), "--test", str(test),
+            "--lengthscale", "1", "--out", str(tmp_path / "preds.csv"),
+        )
+        assert code == 1
+        assert err.splitlines() == [f"coxcut: error: {test}{suffix}"]
 
     def test_eval_perfect_and_inverted(self, tmp_path, capsys):
         truth = _gen_circles(tmp_path, capsys, name="truth.csv")
@@ -192,3 +217,17 @@ class TestExitCodes:
         res = subprocess.run(["coxcut", "--help"], capture_output=True, text=True)
         assert res.returncode == 0
         assert "coxcut" in res.stdout
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(coxcut.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        res = subprocess.run(
+            [sys.executable, "-m", "coxcut", "--help"], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0
+        assert "coxcut" in res.stdout
+        res = subprocess.run(
+            [sys.executable, "-m", "coxcut", "frobnicate"], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 2
