@@ -6,7 +6,6 @@ exactly by min-cut and whose multiclass MAP is approached with expansion
 moves.
 """
 
-from ._accel import HAVE_NUMBA, USE_NUMBA
 from .classify import (
     ClassModel,
     activations,
@@ -24,6 +23,7 @@ from .data import (
     Dataset,
     gen_concentric_circles,
     gen_double_helix,
+    load_covariates,
     load_csv,
     partition,
     save_csv,
@@ -60,16 +60,17 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
+# There is no compiled path; perfbench/run.py still records this flag in its env line.
+USE_NUMBA = False
+
 __all__ = [
     "ClassModel",
     "Dataset",
     "EnergyGraph",
     "FlowNetwork",
-    "HAVE_NUMBA",
     "IntensityField",
     "Kernel",
     "QuantizationRecord",
-    "USE_NUMBA",
     "Window",
     "activations",
     "activations_batch",
@@ -90,6 +91,7 @@ __all__ = [
     "kde_predict",
     "kde_predict_batch",
     "kfold_cv_ssl",
+    "load_covariates",
     "load_csv",
     "log_product_density",
     "loo_cv",

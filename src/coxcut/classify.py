@@ -48,7 +48,7 @@ def _as_test_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-# The numpy fallback of row_sums materializes a (block, N) kernel matrix;
+# row_sums materializes a (block, tile) kernel matrix per training tile;
 # test points are processed in blocks to keep that bounded.
 _BLOCK = 64
 

@@ -14,10 +14,17 @@ import time
 
 import numpy as np
 
-from . import _accel
 from .classify import predict_labels, predict_proba_batch, shared_models
 from .cv import kfold_cv_ssl, loo_cv
-from .data import Dataset, gen_concentric_circles, gen_double_helix, load_csv, save_csv, stratified_mask
+from .data import (
+    Dataset,
+    gen_concentric_circles,
+    gen_double_helix,
+    load_covariates,
+    load_csv,
+    save_csv,
+    stratified_mask,
+)
 from .expansion import ssl_solve
 from .kernels import Kernel
 from .mrf import build_energy
@@ -121,7 +128,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     train = load_csv(args.train, args.label_column)
-    x_test = _load_covariates(args.test, args.label_column)
+    x_test = load_covariates(args.test, args.label_column)
+    if not len(x_test):
+        raise ValueError(f"{args.test}: no test points")
     models = _models_from(args, train.num_classes)
     probs = predict_proba_batch(models, train, x_test)
     labels = predict_labels(probs)
@@ -129,27 +138,6 @@ def _cmd_predict(args) -> int:
     rows = [[_r(v) for v in p] + [str(int(lab))] for p, lab in zip(probs, labels)]
     _write_rows(args.out, header, rows)
     return 0
-
-
-def _load_covariates(path, label_column: str) -> np.ndarray:
-    """Covariate matrix from a CSV; a label column, if present, is ignored."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [
-            (line_no, r) for line_no, r in enumerate(csv.reader(fh), 1)
-            if r and not r[0].lstrip().startswith("#")
-        ]
-    if not rows:
-        raise ValueError(f"{path}: empty file, expected a header row")
-    header = [c.strip() for c in rows[0][1]]
-    keep = [i for i, name in enumerate(header) if name != label_column]
-    if not keep:
-        raise ValueError(f"{path}: no covariate columns")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no test points")
-    for line_no, r in rows[1:]:
-        if len(r) != len(header):
-            raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(r)}")
-    return np.array([[float(r[i]) for i in keep] for _, r in rows[1:]])
 
 
 def _cmd_ssl(args) -> int:
@@ -196,6 +184,14 @@ def bench_prediction(
     machine-load drift cannot tilt the fitted slope. Returns
     ([(n, seconds_per_point), ...], fitted log-log growth exponent).
     """
+    if len(set(sizes)) < 2:
+        raise ValueError(f"need at least two distinct training sizes, got {list(sizes)}")
+    if min(sizes) < 2:
+        raise ValueError(f"training sizes must be >= 2, got {min(sizes)}")
+    if n_test < 1:
+        raise ValueError(f"test points must be >= 1, got {n_test}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     kern = Kernel(kernel_family, 1.0, 1.0)
     setups = []
@@ -208,7 +204,7 @@ def bench_prediction(
         train = Dataset(x, y, 2)
         models = shared_models(2, kern)
         x_test = rng.normal(1.5, 2.0, (n_test, 2))
-        predict_proba_batch(models, train, x_test)  # warm caches / JIT
+        predict_proba_batch(models, train, x_test)  # warm caches
         setups.append((n, models, train, x_test))
     best = {n: np.inf for n in sizes}
     for _ in range(repeats):
@@ -262,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Point-process classification: supervised prediction and "
         "min-cut semi-supervised labeling.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap internal parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
@@ -372,15 +367,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(_fold_negative_values(list(argv)))
     except SystemExit as e:
         return int(e.code or 0)
-    if args.threads is not None and _accel.USE_NUMBA:
-        import warnings
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # threading-layer noise
-                _accel.numba.set_num_threads(max(1, args.threads))
-        except (ValueError, RuntimeError):
-            pass
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as e:

@@ -72,11 +72,11 @@ class Dataset:
         return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), num_classes)
 
 
-def load_csv(path, label_column: str = "label", num_classes: int | None = None) -> Dataset:
-    """Read a dataset from CSV: header row, covariate columns, one label column.
+def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header cells and (line number, cells) data rows of a CSV file.
 
-    Empty label cells mark unlabeled rows. Lines starting with '#' are
-    skipped. Unless overridden, the class count is the largest observed label.
+    Blank lines and lines starting with '#' are skipped; every data row must
+    have as many cells as the header.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -85,30 +85,25 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
     with fh:
         rows = []
         header = None
-        line_no = 0
-        for raw in csv.reader(fh):
-            line_no += 1
-            if raw and raw[0].lstrip().startswith("#"):
+        for line_no, raw in enumerate(csv.reader(fh), 1):
+            if not raw or raw[0].lstrip().startswith("#"):
                 continue
             if header is None:
                 header = [c.strip() for c in raw]
-                continue
-            rows.append((line_no, raw))
+            elif len(raw) != len(header):
+                raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(raw)}")
+            else:
+                rows.append((line_no, raw))
     if header is None:
         raise ValueError(f"{path}: empty file, expected a header row")
-    if label_column not in header:
-        raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
-    lbl_idx = header.index(label_column)
-    cov_idx = [i for i in range(len(header)) if i != lbl_idx]
-    if not cov_idx:
-        raise ValueError(f"{path}: no covariate columns besides {label_column!r}")
+    return header, rows
 
-    covs = np.empty((len(rows), len(cov_idx)))
-    labels = np.zeros(len(rows), dtype=np.int64)
+
+def _covariate_matrix(path, header, rows, cols) -> np.ndarray:
+    """Parse columns ``cols`` of every row as finite floats."""
+    covs = np.empty((len(rows), len(cols)))
     for r, (line_no, raw) in enumerate(rows):
-        if len(raw) != len(header):
-            raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(raw)}")
-        for c, i in enumerate(cov_idx):
+        for c, i in enumerate(cols):
             try:
                 covs[r, c] = float(raw[i])
             except ValueError:
@@ -116,6 +111,45 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
                     f"{path} row {line_no}: non-numeric covariate {raw[i]!r} "
                     f"in column {header[i]!r}"
                 ) from None
+    if not np.all(np.isfinite(covs)):
+        bad = int(np.argwhere(~np.isfinite(covs))[0][0])
+        raise ValueError(f"{path} row {rows[bad][0]}: non-finite covariate value")
+    return covs
+
+
+def load_covariates(path, label_column: str = "label") -> np.ndarray:
+    """Covariate matrix of a CSV in ``load_csv``'s layout, checked the same way.
+
+    The label column is optional and ignored when present, so the columns
+    are those ``load_csv`` would read. A file with a header and no data rows
+    gives a (0, D) matrix.
+    """
+    header, rows = _read_rows(path)
+    lbl_idx = header.index(label_column) if label_column in header else None
+    cols = [i for i in range(len(header)) if i != lbl_idx]
+    if not cols:
+        raise ValueError(f"{path}: no covariate columns")
+    return _covariate_matrix(path, header, rows, cols)
+
+
+def load_csv(path, label_column: str = "label", num_classes: int | None = None) -> Dataset:
+    """Read a dataset from CSV: header row, covariate columns, one label column.
+
+    Empty label cells mark unlabeled rows. Blank lines and lines starting
+    with '#' are skipped. Unless overridden, the class count is the largest
+    observed label.
+    """
+    header, rows = _read_rows(path)
+    if label_column not in header:
+        raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
+    lbl_idx = header.index(label_column)
+    cov_idx = [i for i in range(len(header)) if i != lbl_idx]
+    if not cov_idx:
+        raise ValueError(f"{path}: no covariate columns besides {label_column!r}")
+    covs = _covariate_matrix(path, header, rows, cov_idx)
+
+    labels = np.zeros(len(rows), dtype=np.int64)
+    for r, (line_no, raw) in enumerate(rows):
         cell = raw[lbl_idx].strip()
         if cell:
             try:
@@ -125,9 +159,6 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
             if lab < 1:
                 raise ValueError(f"{path} row {line_no}: label {lab} outside {{1..Q}}")
             labels[r] = lab
-    if not np.all(np.isfinite(covs)):
-        bad = int(np.argwhere(~np.isfinite(covs))[0][0])
-        raise ValueError(f"{path} row {rows[bad][0]}: non-finite covariate value")
 
     observed = int(labels.max()) if labels.size else 0
     q = num_classes if num_classes is not None else observed

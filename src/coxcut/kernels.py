@@ -9,12 +9,9 @@ which is what makes min-cut inference applicable downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _accel
 
 # Short CLI names; long forms accepted as aliases.
 _FAMILIES = {
@@ -24,9 +21,7 @@ _FAMILIES = {
     "exponential": "exp",
 }
 
-_FAMILY_CODE = {"se": 0, "exp": 1}
-
-_SUM_TILE = 512  # training points per numpy row_sums tile
+_SUM_TILE = 512  # training points per row_sums tile
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,8 @@ class Kernel:
     def row_sums(self, a, b) -> np.ndarray:
         """sum_j C(a_i - b_j) for each row a_i, shape (len(a),).
 
-        This is the prediction hot loop; on the numba path it streams the
-        points without materializing the (len(a), len(b)) matrix.
+        This is the prediction hot loop. ``b`` is summed in fixed tiles, so the
+        numpy working set (and the per-element cost) does not grow with len(b).
         """
         a = _as_points(a)
         b = _as_points(b)
@@ -102,12 +97,6 @@ class Kernel:
             raise ValueError(
                 f"point sets have mismatched dimensions {a.shape[1]} and {b.shape[1]}"
             )
-        if _accel.USE_NUMBA:
-            return _row_sums_fast(
-                a, b, self.signal_variance, self.length_scale, _FAMILY_CODE[self.family]
-            )
-        # fixed tile keeps the numpy working set (and so the per-element
-        # cost) independent of len(b)
         out = np.zeros(a.shape[0])
         for start in range(0, b.shape[0], _SUM_TILE):
             out += self._from_sqdist(_sq_dists(a, b[start : start + _SUM_TILE])).sum(axis=1)
@@ -132,22 +121,3 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     return d2
 
-
-def _row_sums_loop(a, b, sv, ls, fam):
-    out = np.empty(a.shape[0])
-    for i in range(a.shape[0]):
-        s = 0.0
-        for j in range(b.shape[0]):
-            d2 = 0.0
-            for d in range(a.shape[1]):
-                diff = a[i, d] - b[j, d]
-                d2 += diff * diff
-            if fam == 0:
-                s += math.exp(-d2 / (2.0 * ls * ls))
-            else:
-                s += math.exp(-math.sqrt(d2) / ls)
-        out[i] = sv * s
-    return out
-
-
-_row_sums_fast = _accel.accelerate(_row_sums_loop)

@@ -17,12 +17,10 @@ log partition function is provided as a test oracle for small instances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .data import Dataset
 from .simulate import log_product_density
 
@@ -203,69 +201,8 @@ def _guard_instance_size(energy: EnergyGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles. The odometer scans below visit labelings in
+# Brute-force oracles. The chunk scans below visit labelings in
 # lexicographic order (site 0 most significant); ties keep the first hit.
-# Compiled when the numba path is on; the vectorized chunk scan is the
-# numpy fallback and must produce identical results.
-
-
-def _scan_min_loop(unary, pair_i, pair_j, tables):
-    u = unary.shape[0]
-    q = unary.shape[1]
-    p = pair_i.shape[0]
-    y = np.zeros(u, np.int64)
-    best = np.zeros(u, np.int64)
-    best_e = np.inf
-    while True:
-        e = 0.0
-        for k in range(u):
-            e += unary[k, y[k]]
-        for r in range(p):
-            e += tables[r, y[pair_i[r]], y[pair_j[r]]]
-        if e < best_e:
-            best_e = e
-            best[:] = y
-        pos = u - 1
-        while pos >= 0 and y[pos] == q - 1:
-            y[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        y[pos] += 1
-    return best, best_e
-
-
-def _scan_logz_loop(unary, pair_i, pair_j, tables):
-    u = unary.shape[0]
-    q = unary.shape[1]
-    p = pair_i.shape[0]
-    y = np.zeros(u, np.int64)
-    m = -np.inf
-    s = 0.0
-    while True:
-        e = 0.0
-        for k in range(u):
-            e += unary[k, y[k]]
-        for r in range(p):
-            e += tables[r, y[pair_i[r]], y[pair_j[r]]]
-        v = -e
-        if v > m:
-            s = s * math.exp(m - v) + 1.0
-            m = v
-        else:
-            s += math.exp(v - m)
-        pos = u - 1
-        while pos >= 0 and y[pos] == q - 1:
-            y[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        y[pos] += 1
-    return m + math.log(s)
-
-
-_scan_min_fast = _accel.accelerate(_scan_min_loop)
-_scan_logz_fast = _accel.accelerate(_scan_logz_loop)
 
 
 def _chunk_energies(energy: EnergyGraph, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +210,8 @@ def _chunk_energies(energy: EnergyGraph, start: int, stop: int) -> tuple[np.ndar
     powers = q ** np.arange(u - 1, -1, -1, dtype=np.int64)
     idx = np.arange(start, stop, dtype=np.int64)
     digits = (idx[:, None] // powers[None, :]) % q
-    # accumulate term by term in the same order as the loop scan so the two
-    # implementations produce bit-identical energies
+    # accumulate term by term in the same order as the plain-loop reference
+    # scan (tests/_reference_scan.py) so both give bit-identical energies
     e = np.zeros(stop - start)
     for k in range(u):
         e += energy.unary[k, digits[:, k]]
@@ -312,10 +249,7 @@ def brute_force_map(energy: EnergyGraph) -> tuple[np.ndarray, float]:
     it is bit-identical to re-evaluations of the same labeling elsewhere.
     """
     total = _guard_instance_size(energy)
-    if _accel.USE_NUMBA:
-        digits, _ = _scan_min_fast(energy.unary, energy.pair_i, energy.pair_j, energy.tables)
-    else:
-        digits, _ = _scan_min_numpy(energy, total)
+    digits, _ = _scan_min_numpy(energy, total)
     labeling = digits + 1
     return labeling, energy_of(energy, labeling)
 
@@ -323,8 +257,4 @@ def brute_force_map(energy: EnergyGraph) -> tuple[np.ndarray, float]:
 def brute_force_log_partition(energy: EnergyGraph) -> float:
     """log sum over all labelings of exp(-E), via streaming log-sum-exp."""
     total = _guard_instance_size(energy)
-    if _accel.USE_NUMBA:
-        lz = _scan_logz_fast(energy.unary, energy.pair_i, energy.pair_j, energy.tables)
-    else:
-        lz = _scan_logz_numpy(energy, total)
-    return float(lz) - energy.constant
+    return _scan_logz_numpy(energy, total) - energy.constant

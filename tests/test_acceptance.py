@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Timed criteria measure the
-solve work itself; one tiny warm-up call first makes sure one-off JIT
-compilation of the hot kernels is not billed to the algorithm under test.
+solve work itself; one tiny warm-up call first makes sure one-off first-call
+costs of the hot kernels are not billed to the algorithm under test.
 """
 
 import math

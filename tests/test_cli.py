@@ -101,8 +101,10 @@ class TestPredictEval:
             ("x1,x2\n0.1,0.2\n0.3\n", " row 3: expected 2 cells, got 1"),
             ("# comment\nx1,x2,label\n0.1,0.2,1\n0.3,0.4,,\n", " row 4: expected 3 cells, got 4"),
             ("x1,x2\n", ": no test points"),
+            ("x1,x2\n0.1,0.2\n0.3,abc\n", " row 3: non-numeric covariate 'abc' in column 'x2'"),
+            ("x1,x2,label\n0.1,nan,\n", " row 2: non-finite covariate value"),
         ],
-        ids=["short-row", "long-row", "header-only"],
+        ids=["short-row", "long-row", "header-only", "non-numeric", "nan"],
     )
     def test_malformed_test_file_is_one_line_error(self, tmp_path, capsys, text, suffix):
         data = _gen_circles(tmp_path, capsys)
@@ -199,6 +201,23 @@ class TestBench:
         assert "exponent=" in out
         lines = out.strip().splitlines()
         assert lines[0] == "n_train,seconds_per_test_point"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--test-points", "0"], "test points must be >= 1, got 0"),
+            (["--repeats", "0"], "repeats must be >= 1, got 0"),
+            (["--sizes", "1"], "need at least two distinct training sizes, got [1]"),
+            (["--sizes", "64,64"], "need at least two distinct training sizes, got [64, 64]"),
+            (["--sizes", "0,64"], "training sizes must be >= 2, got 0"),
+        ],
+        ids=["zero-test-points", "zero-repeats", "one-size", "repeated-size", "zero-size"],
+    )
+    def test_bad_input_is_one_line_error(self, capsys, flags, message):
+        code, out, err = _run(capsys, "bench", "--sizes", "64,128", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"coxcut: error: {message}"]
 
 
 class TestExitCodes:

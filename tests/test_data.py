@@ -1,10 +1,17 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coxcut import (
     Dataset,
     gen_concentric_circles,
     gen_double_helix,
+    load_covariates,
     load_csv,
     partition,
     save_csv,
@@ -65,6 +72,61 @@ class TestLoadCsv:
         back = load_csv(p, num_classes=3)
         assert np.array_equal(back.covariates, ds.covariates)
         assert np.array_equal(back.labels, ds.labels)
+
+
+@st.composite
+def _datasets(draw):
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 3))
+    x = draw(arrays(np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, q)))
+    return Dataset(x, y, q)
+
+
+def _saved(ds, directory):
+    path = os.path.join(directory, "ds.csv")
+    save_csv(ds, path)
+    return path
+
+
+class TestCsvProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_datasets())
+    def test_save_load_round_trips_exactly(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            back = load_csv(_saved(ds, d), num_classes=ds.num_classes)
+        assert back.covariates.shape == ds.covariates.shape
+        assert back.covariates.tobytes() == ds.covariates.tobytes()  # bit-exact, -0.0 included
+        assert np.array_equal(back.labels, ds.labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_datasets())
+    def test_covariate_loader_matches_load_csv(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            path = _saved(ds, d)
+            x = load_covariates(path)
+            expected = load_csv(path, num_classes=ds.num_classes).covariates
+        assert x.shape == expected.shape
+        assert x.tobytes() == expected.tobytes()
+
+
+class TestLoadCovariates:
+    def test_label_column_optional_and_ignored(self, tmp_path):
+        with_label = load_covariates(_write(tmp_path, "x1,label,x2\n1.0,2,3.0\n4.0,,5.0\n"))
+        without = load_covariates(_write(tmp_path, "x1,x2\n1.0,3.0\n4.0,5.0\n", name="b.csv"))
+        assert np.array_equal(with_label, [[1.0, 3.0], [4.0, 5.0]])
+        assert np.array_equal(without, with_label)
+
+    def test_header_only_gives_empty_matrix(self, tmp_path):
+        assert load_covariates(_write(tmp_path, "# note\n\nx1,x2\n\n")).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "text, match", [("", "empty file"), ("label\n1\n", "no covariate columns")]
+    )
+    def test_files_without_covariates_rejected(self, tmp_path, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_covariates(_write(tmp_path, text))
 
 
 class TestDatasetInvariants:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _instances import random_models, random_ssl_instance
+from _reference_scan import _scan_logz_loop, _scan_min_loop
 from coxcut import (
     ClassModel,
     Dataset,
@@ -20,7 +21,7 @@ from coxcut import (
     predict_proba,
     shared_models,
 )
-from coxcut.mrf import _scan_logz_loop, _scan_logz_numpy, _scan_min_loop, _scan_min_numpy
+from coxcut.mrf import _scan_logz_numpy, _scan_min_numpy
 
 
 def _hand_energy(unary, pairs=None, constant=0.0):
