@@ -13,11 +13,13 @@ import numpy as np
 from .classify import shared_models
 from .data import Dataset
 from .expansion import ssl_solve
-from .kernels import Kernel
+from .kernels import Kernel, sym_sq_dists
 
 GRID_SIZE = 16
 GRID_SPAN = (0.01, 100.0)  # multiples of the median pairwise distance
 _MEDIAN_SUBSAMPLE = 2048
+# Largest leave-one-out set: at this size its two n x n float64 arrays take about 1 GB.
+MAX_LOO_POINTS = 8192
 
 
 def default_lengthscale_grid(covariates, size: int = GRID_SIZE, seed: int = 0) -> np.ndarray:
@@ -54,23 +56,39 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
 
     The table has one (length_scale, error) row per grid value. Means are
     zero and the kernel is shared across classes, so only the length scale
-    matters for the decisions.
+    matters for the decisions. Squared distances are computed once; each
+    grid value evaluates the kernel into one reused n x n buffer, so a call
+    holds two n x n float64 arrays and refuses more than MAX_LOO_POINTS
+    points before allocating either.
+
+    Each point's own class sum includes the self term C(0) from the
+    diagonal, which is then subtracted. The round trip loses own-class
+    neighbour sums below about 1e-16 * C(0): they read as 0, so at the
+    smallest length scales points are decided as if they had no neighbours
+    of their own class and the error can read near 0.5.
     """
     x, y = train.labeled()
     n = len(x)
     if n < 2:
         raise ValueError("leave-one-out needs at least two labeled points")
+    if n > MAX_LOO_POINTS:
+        raise ValueError(
+            f"leave-one-out on {n} points needs two {n}x{n} float64 matrices "
+            f"({2 * 8 * n * n / 1e9:.1f} GB); above {MAX_LOO_POINTS} points, "
+            "subsample with --cv-subsample"
+        )
     if grid is None:
         grid = default_lengthscale_grid(x)
     grid = _validated_grid(grid)
     q = train.num_classes
     onehot = np.zeros((n, q))
     onehot[np.arange(n), y - 1] = 1.0
+    d2 = sym_sq_dists(x)
+    buf = np.empty_like(d2)
     errors = np.empty(len(grid))
     for gi, ls in enumerate(grid):
         kern = Kernel(kernel_family, 1.0, float(ls))
-        g = kern.gram(x)
-        class_sums = g @ onehot  # (n, q): total attraction to each class
+        class_sums = kern._from_sqdist(d2, out=buf) @ onehot  # (n, q): attraction per class
         class_sums[np.arange(n), y - 1] -= kern.signal_variance  # drop self term
         pred = np.argmax(class_sums, axis=1) + 1
         errors[gi] = float(np.mean(pred != y))

@@ -75,19 +75,28 @@ class Dataset:
 def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header cells and (line number, cells) data rows of a CSV file.
 
-    Blank lines and lines starting with '#' are skipped; every data row must
-    have as many cells as the header.
+    Blank lines and lines starting with '#' are skipped before CSV parsing,
+    so a comment may hold any text; every data row must have as many cells
+    as the header. Line numbers count every line of the file.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise ValueError(f"cannot open dataset file {path}: {e}") from e
     with fh:
+        kept = []  # file line number of each line handed to the CSV reader
+
+        def content_lines():
+            for line_no, line in enumerate(fh, 1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    kept.append(line_no)
+                    yield line
+
         rows = []
         header = None
-        for line_no, raw in enumerate(csv.reader(fh), 1):
-            if not raw or raw[0].lstrip().startswith("#"):
-                continue
+        for raw in csv.reader(content_lines()):
+            line_no = kept[-1]
             if header is None:
                 header = [c.strip() for c in raw]
             elif len(raw) != len(header):
@@ -174,7 +183,14 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
 
 
 def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
-    """Write a dataset as CSV (columns x1..xD then ``label``; round-trips exactly)."""
+    """Write a dataset as CSV (columns x1..xD then ``label``; round-trips exactly).
+
+    Each comment is written as one ``# `` line, so it may not contain a line
+    break.
+    """
+    for line in comments or []:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"comment {line!r} contains a line break")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in comments or []:
             fh.write(f"# {line}\n")

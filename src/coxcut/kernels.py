@@ -61,10 +61,23 @@ class Kernel:
         out = self._from_sqdist(d2)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _from_sqdist(self, d2):
+    def _from_sqdist(self, d2, out=None):
+        """C at squared distances ``d2``, written into ``out`` when given.
+
+        ``out`` may be ``d2`` itself. Dividing by the negated denominator is
+        bit-identical to negating the numerator, since IEEE division is
+        sign-symmetric.
+        """
+        if out is None:
+            out = np.empty(np.shape(d2))
         if self.family == "se":
-            return self.signal_variance * np.exp(-d2 / (2.0 * self.length_scale**2))
-        return self.signal_variance * np.exp(-np.sqrt(d2) / self.length_scale)
+            np.divide(d2, -(2.0 * self.length_scale**2), out=out)
+        else:
+            np.sqrt(d2, out=out)
+            np.divide(out, -self.length_scale, out=out)
+        np.exp(out, out=out)
+        np.multiply(out, self.signal_variance, out=out)
+        return out
 
     def cross(self, a, b) -> np.ndarray:
         """Covariance matrix C(a_i - b_j) for two point sets, shape (len(a), len(b))."""
@@ -75,15 +88,12 @@ class Kernel:
                 f"point sets have mismatched dimensions {a.shape[1]} and {b.shape[1]}"
             )
         d2 = _sq_dists(a, b)
-        return self._from_sqdist(d2)
+        return self._from_sqdist(d2, out=d2)
 
     def gram(self, points) -> np.ndarray:
         """Symmetric covariance matrix of one point set; diagonal is exactly C(0)."""
-        x = _as_points(points)
-        d2 = _sq_dists(x, x)
-        d2 = 0.5 * (d2 + d2.T)  # enforce exact symmetry
-        np.fill_diagonal(d2, 0.0)
-        return self._from_sqdist(d2)
+        d2 = sym_sq_dists(_as_points(points))
+        return self._from_sqdist(d2, out=d2)
 
     def row_sums(self, a, b) -> np.ndarray:
         """sum_j C(a_i - b_j) for each row a_i, shape (len(a),).
@@ -99,7 +109,8 @@ class Kernel:
             )
         out = np.zeros(a.shape[0])
         for start in range(0, b.shape[0], _SUM_TILE):
-            out += self._from_sqdist(_sq_dists(a, b[start : start + _SUM_TILE])).sum(axis=1)
+            d2 = _sq_dists(a, b[start : start + _SUM_TILE])
+            out += self._from_sqdist(d2, out=d2).sum(axis=1)
         return out
 
 
@@ -112,6 +123,14 @@ def _as_points(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("points contain non-finite values")
     return x
+
+
+def sym_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared distances within one (N, D) point set: exactly symmetric, zero diagonal."""
+    d2 = _sq_dists(x, x)
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 import coxcut
 from coxcut import Dataset, load_csv, save_csv
 from coxcut.cli import run
+from coxcut.cv import MAX_LOO_POINTS
 
 
 def _run(capsys, *argv):
@@ -164,6 +165,17 @@ class TestFit:
         with open(tmp_path / "table.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lengthscale", "error"] and len(rows) == 4
+
+    def test_oversized_loo_is_one_line_error(self, tmp_path, capsys):
+        n = MAX_LOO_POINTS + 1
+        x = np.random.default_rng(5).normal(0.0, 1.0, (n, 2))
+        save_csv(Dataset(x, np.arange(n) % 2 + 1, 2), tmp_path / "big.csv")
+        argv = ["fit", "--train", str(tmp_path / "big.csv"), "--grid", "0.5,1.0"]
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "--cv-subsample" in err
+        code, out, _ = _run(capsys, *argv, "--cv-subsample", "200")
+        assert code == 0 and "best_lengthscale=" in out
 
     def test_ssl_fit_runs(self, tmp_path, capsys):
         _gen_circles(tmp_path, capsys, labeled_per_class=6)

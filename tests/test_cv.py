@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from _reference_loo import loo_cv_reference
 
 from coxcut import (
     Dataset,
     default_lengthscale_grid,
+    gen_concentric_circles,
     gen_double_helix,
     kfold_cv_ssl,
     loo_cv,
@@ -69,6 +73,55 @@ class TestLooCv:
         best, table = loo_cv(train, "exp", grid)
         assert np.all((0 <= table[:, 1]) & (table[:, 1] <= 1))
         assert best in grid
+
+
+def _circles_auto(n):
+    return gen_concentric_circles(n // 2, (1.0, 2.0), 0.3, 11), None
+
+
+def _helix_grid(n):
+    return gen_double_helix(n // 2, 1.0, 1.5, 2.0, 0.1, 12), np.geomspace(0.02, 5.0, 9)
+
+
+def _duplicates_auto(n):
+    # every point appears twice, with independent labels among three classes
+    rng = np.random.default_rng(13)
+    x = np.repeat(rng.normal(0.0, 1.0, (n // 2, 2)), 2, axis=0)
+    return Dataset(x, rng.integers(1, 4, n), 3), None
+
+
+def _single_class_grid(n):
+    x = np.random.default_rng(14).normal(0.0, 1.0, (n, 3))
+    return Dataset(x, np.ones(n, np.int64), 2), [0.05, 0.3, 1.0, 3.0]
+
+
+class TestLooMatchesReference:
+    """The distance-reusing loo_cv against one fresh gram per grid value."""
+
+    @pytest.mark.parametrize("family", ["se", "exp"])
+    @pytest.mark.parametrize(
+        "make, n",
+        [(_circles_auto, 600), (_helix_grid, 1500), (_duplicates_auto, 500),
+         (_single_class_grid, 800)],
+        ids=["circles-auto", "helix-grid", "duplicates-auto", "single-class"],
+    )
+    def test_tables_bit_identical(self, make, n, family):
+        train, grid = make(n)
+        best, table = loo_cv(train, family, grid)
+        ref_best, ref_table = loo_cv_reference(train, family, grid)
+        assert np.array_equal(table, ref_table)
+        assert best == ref_best
+
+    def test_peak_memory_is_two_matrices(self):
+        n = 1500
+        train, grid = _helix_grid(n)
+        tracemalloc.start()
+        try:
+            loo_cv(train, "se", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestKfoldCvSsl:

@@ -107,3 +107,33 @@ def test_row_sums_matches_cross_sum():
         a = rng.normal(0, 1, (7, 3))
         b = rng.normal(0, 1, (11, 3))
         assert np.allclose(k.row_sums(a, b), k.cross(a, b).sum(axis=1), rtol=1e-12)
+
+
+def _closed_form(k, d2):
+    # the kernel formula as written out of place, before in-place evaluation
+    if k.family == "se":
+        return k.signal_variance * np.exp(-d2 / (2.0 * k.length_scale**2))
+    return k.signal_variance * np.exp(-np.sqrt(d2) / k.length_scale)
+
+
+@pytest.mark.parametrize("family", ["se", "exp"])
+def test_in_place_evaluation_is_bit_identical_to_closed_form(family):
+    rng = np.random.default_rng(3)
+    k = Kernel(family, 0.7, 1.3)
+    a = rng.normal(0, 2, (37, 3))
+    b = np.vstack([rng.normal(0, 2, (1100, 3)), a[:5]])  # several row_sums tiles, zero distances
+    d2 = np.maximum(
+        np.sum(a * a, 1)[:, None] + np.sum(b * b, 1)[None, :] - 2.0 * (a @ b.T), 0.0
+    )
+    assert np.array_equal(k.cross(a, b), _closed_form(k, d2))
+    tiles = [_closed_form(k, d2[:, s : s + 512]).sum(axis=1) for s in range(0, b.shape[0], 512)]
+    expected_sums = np.zeros(len(a))
+    for t in tiles:
+        expected_sums += t
+    assert np.array_equal(k.row_sums(a, b), expected_sums)
+    d2_sym = np.maximum(np.sum(a * a, 1)[:, None] + np.sum(a * a, 1)[None, :] - 2.0 * (a @ a.T), 0)
+    d2_sym = 0.5 * (d2_sym + d2_sym.T)
+    np.fill_diagonal(d2_sym, 0.0)
+    assert np.array_equal(k.gram(a), _closed_form(k, d2_sym))
+    s = a[0] - a[1]
+    assert k.eval(s) == _closed_form(k, np.sum(s * s))
