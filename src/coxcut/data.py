@@ -186,14 +186,16 @@ def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
     """Write a dataset as CSV (columns x1..xD then ``label``; round-trips exactly).
 
     Each comment is written as one ``# `` line, so it may not contain a line
-    break.
+    break. Comments are checked and encoded before the file is opened, so a
+    bad comment leaves no file behind.
     """
     for line in comments or []:
         if "\n" in line or "\r" in line:
             raise ValueError(f"comment {line!r} contains a line break")
+    preamble = "".join(f"# {line}\n" for line in comments or [])
+    preamble.encode("utf-8")  # raises UnicodeEncodeError, e.g. on a lone surrogate
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
+        fh.write(preamble)
         w = csv.writer(fh)
         w.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["label"])
         for row, lab in zip(dataset.covariates, dataset.labels):

@@ -69,13 +69,6 @@ class FlowNetwork:
         tails, heads, caps = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
         return cls.from_arrays(num_nodes, source, sink, tails, heads, caps)
 
-    def arc_tail(self, a: int) -> int:
-        return int(self.arc_to[a ^ 1])
-
-    def flow_on(self, a: int) -> int:
-        """Net flow pushed along arc a (may be negative if the reverse carried flow)."""
-        return int(self.arc_cap0[a] - self.arc_cap[a])
-
 
 @dataclass(frozen=True)
 class QuantizationRecord:

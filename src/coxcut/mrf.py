@@ -27,6 +27,8 @@ from .simulate import log_product_density
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
 PAIR_CUTOFF = 1e-12  # pairwise tables with all |entries| below this are dropped
+# Largest unlabeled set: at this size each distinct kernel's U x U float64 gram takes 0.5 GB.
+MAX_SSL_SITES = 8192
 
 _CHUNK = 1 << 16
 
@@ -79,9 +81,18 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
 
     The constant collects all terms that do not depend on the unlabeled
     labels (the labeled-labeled block), so that for a full labeling y* the
-    identity joint_unnormalized_log_prob = -energy_of holds exactly.
+    identity joint_unnormalized_log_prob = -energy_of holds up to rounding.
     ``labeled`` may be None or contain no labeled rows, in which case the
     unary tables carry only the mean and self-covariance terms.
+
+    A site pair j < k is kept when some class kernel has C(x*_j - x*_k) >=
+    ``cutoff``; every pair is kept when ``cutoff`` is None. Kept pairs come
+    in row-major order (by j, then k), the order of ``np.triu_indices``.
+    The kernels are non-negative, so this drops exactly the pairs whose
+    tables have every |entry| below the cutoff. Each distinct kernel's gram
+    on the unlabeled sites is evaluated once, and only kept pairs get a
+    table. More than MAX_SSL_SITES sites are refused before any U x U array
+    is allocated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -89,6 +100,13 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     u = x_u.shape[0]
     if u == 0:
         raise ValueError("no unlabeled sites")
+    kernels = dict.fromkeys(m.kernel for m in models)  # distinct, in class order
+    if u > MAX_SSL_SITES:
+        raise ValueError(
+            f"{u} unlabeled sites need {len(kernels) * 8 * u * u / 1e9:.1f} GB of "
+            f"{u}x{u} float64 kernel matrices (one per distinct kernel); "
+            f"the limit is {MAX_SSL_SITES} sites"
+        )
     if not np.all(np.isfinite(x_u)):
         raise ValueError("unlabeled covariates contain non-finite values")
     q = len(models)
@@ -115,14 +133,16 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
             unary[:, a] -= m.kernel.cross(pts, x_u).sum(axis=0)
             constant -= len(pts) * m.mean + 0.5 * m.kernel.gram(pts).sum()
 
-    pi, pj = np.triu_indices(u, k=1)
-    tables = np.zeros((len(pi), q, q))
+    grams = {k: k.gram(x_u) for k in kernels}
+    keep = np.full((u, u), cutoff is None)
+    if cutoff is not None:
+        for g in grams.values():
+            keep |= g >= cutoff
+    flat = np.flatnonzero(np.triu(keep, 1))
+    pi, pj = np.divmod(flat, u)
+    tables = np.zeros((len(flat), q, q))
     for a, m in enumerate(models):
-        g = m.kernel.gram(x_u)
-        tables[:, a, a] = -g[pi, pj]
-    if cutoff is not None and len(pi):
-        keep = np.abs(tables).max(axis=(1, 2)) >= cutoff
-        pi, pj, tables = pi[keep], pj[keep], tables[keep]
+        tables[:, a, a] = -grams[m.kernel].take(flat)
     return EnergyGraph(unary, pi, pj, tables, constant)
 
 

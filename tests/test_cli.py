@@ -12,6 +12,8 @@ import coxcut
 from coxcut import Dataset, load_csv, save_csv
 from coxcut.cli import run
 from coxcut.cv import MAX_LOO_POINTS
+from coxcut.kernels import Kernel
+from coxcut.mrf import MAX_SSL_SITES
 
 
 def _run(capsys, *argv):
@@ -151,6 +153,40 @@ class TestSsl:
         )
         assert code == 0
         assert float(out.split()[0].split("=")[1]) <= 0.05
+
+
+@pytest.fixture(scope="module")
+def oversized_ssl_csv(tmp_path_factory):
+    """Two labeled points per class and MAX_SSL_SITES + 1 unlabeled 1-D points."""
+    u = MAX_SSL_SITES + 1
+    x = np.random.default_rng(6).normal(0.0, 1.0, (u + 4, 1))
+    y = np.r_[1, 1, 2, 2, np.zeros(u, dtype=np.int64)]
+    path = tmp_path_factory.mktemp("oversized") / "big.csv"
+    save_csv(Dataset(x, y, 2), path)
+    return path
+
+
+class TestSiteLimit:
+    @pytest.mark.parametrize("command", ["ssl", "energy", "fit --ssl"])
+    def test_oversized_ssl_is_one_line_error(self, oversized_ssl_csv, tmp_path, capsys,
+                                             monkeypatch, command):
+        def forbidden(*_):
+            raise AssertionError("kernel work before the site limit was checked")
+
+        monkeypatch.setattr(Kernel, "gram", forbidden)
+        monkeypatch.setattr(Kernel, "cross", forbidden)
+        data = str(oversized_ssl_csv)
+        argv = {
+            "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(tmp_path / "o.csv")],
+            "energy": ["energy", "--data", data, "--lengthscale", "1",
+                       "--dump", str(tmp_path / "e.json")],
+            "fit --ssl": ["fit", "--train", data, "--ssl", "--folds", "2", "--grid", "0.5,1.0"],
+        }[command]
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert f"limit is {MAX_SSL_SITES} sites" in err
+        assert not any(tmp_path.iterdir())  # no output file was started
 
 
 class TestFit:

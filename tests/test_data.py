@@ -82,6 +82,12 @@ class TestLoadCsv:
             save_csv(ds, tmp_path / "c.csv", comments=[comment])
         assert not (tmp_path / "c.csv").exists()
 
+    def test_save_rejects_unencodable_comment_without_creating_file(self, tmp_path):
+        ds = Dataset(np.zeros((1, 1)), np.array([1]), 2)
+        with pytest.raises(UnicodeEncodeError):
+            save_csv(ds, tmp_path / "c.csv", comments=["ok", "\ud800"])
+        assert not (tmp_path / "c.csv").exists()
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(0, 1, (20, 3)), rng.integers(0, 4, 20), 3)

@@ -1,7 +1,9 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _instances import random_ssl_instance
 from _reference_flow import reference_max_flow
@@ -173,6 +175,36 @@ class TestQuantizationSoundness:
                 quantized = (cut + rec.offset) / rec.scale
                 true_e = energy_of(energy, list(labs)) - energy.constant
                 assert abs(quantized - true_e) <= bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cut_plus_offset_is_the_quantized_energy(self, data):
+        # dyadic entries make every a + d <= b + c test exact
+        unit = 2.0 ** data.draw(st.integers(-20, 20))
+        value = st.integers(-64, 64).map(lambda k: k / 8 * unit)
+        u = data.draw(st.integers(1, 8))
+        unary = np.array(data.draw(st.lists(st.tuples(value, value), min_size=u, max_size=u)))
+        site_pairs = list(combinations(range(u), 2))
+        chosen = data.draw(st.lists(st.sampled_from(site_pairs), unique=True)) if site_pairs else []
+        pairs = []
+        for i, j in chosen:
+            a, b, c, d = data.draw(st.tuples(value, value, value, value))
+            # swapping the diagonal with the off-diagonal turns a violating table representable
+            pairs.append((i, j, [[a, b], [c, d]] if a + d <= b + c else [[b, a], [d, c]]))
+        energy = _energy(unary, pairs)
+        net, rec = build_flow_network(energy)
+
+        # the quantization rules of build_flow_network, term by term
+        qu = np.rint(energy.unary * rec.scale).astype(np.int64)
+        qt = np.empty(energy.tables.shape, dtype=np.int64)
+        for a in (0, 1):
+            qt[:, a, a] = np.floor(energy.tables[:, a, a] * rec.scale)
+            qt[:, a, 1 - a] = np.ceil(energy.tables[:, a, 1 - a] * rec.scale)
+        for labs in product([0, 1], repeat=u):
+            quantized = sum(int(qu[k, x]) for k, x in enumerate(labs))
+            quantized += sum(int(qt[p, labs[i], labs[j]]) for p, (i, j) in enumerate(chosen))
+            side = np.array([x == 0 for x in labs] + [True, False])
+            assert cut_capacity(net, side) + rec.offset == quantized
 
 
 def _kernel_energies():

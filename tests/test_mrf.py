@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _instances import random_models, random_ssl_instance
+from _reference_energy import build_energy_reference
 from _reference_scan import _scan_logz_loop, _scan_min_loop
 from coxcut import (
     ClassModel,
@@ -15,13 +18,16 @@ from coxcut import (
     build_energy,
     check_pairwise_representable,
     energy_of,
+    gen_concentric_circles,
+    gen_double_helix,
     joint_unnormalized_log_prob,
     log_product_density,
+    partition,
     predict_label,
     predict_proba,
     shared_models,
 )
-from coxcut.mrf import _scan_logz_numpy, _scan_min_numpy
+from coxcut.mrf import PAIR_CUTOFF, _scan_logz_numpy, _scan_min_numpy
 
 
 def _hand_energy(unary, pairs=None, constant=0.0):
@@ -85,6 +91,75 @@ class TestBuildEnergy:
             build_energy(models, labeled, np.zeros((2, 3)))
 
 
+def _helix():
+    ds = gen_double_helix(150, 1.0, 1.5, 2.0, 0.04, 1)
+    labeled, heldout = partition(ds, 10, 1)
+    return labeled, heldout.covariates
+
+
+def _three_circles():
+    ds = gen_concentric_circles(80, (1.0, 4.0, 7.0), 0.08, 3)
+    labeled, heldout = partition(ds, 8, 3)
+    return labeled, heldout.covariates
+
+
+class TestEnergyMatchesReference:
+    """The kept-pairs construction against the all-pairs oracle, bit for bit."""
+
+    @staticmethod
+    def _assert_same(models, labeled, unlabeled, cutoff=PAIR_CUTOFF):
+        got = build_energy(models, labeled, unlabeled, cutoff=cutoff)
+        ref = build_energy_reference(models, labeled, unlabeled, cutoff=cutoff)
+        assert np.array_equal(got.unary, ref.unary)
+        assert np.array_equal(got.pair_i, ref.pair_i)
+        assert np.array_equal(got.pair_j, ref.pair_j)
+        assert np.array_equal(got.tables, ref.tables)
+        assert got.tables.tobytes() == ref.tables.tobytes()  # signed zeros too
+        assert got.constant == ref.constant
+        return got
+
+    @pytest.mark.parametrize("family, ls", [("se", 0.08), ("se", 0.3), ("exp", 0.02)])
+    def test_shared_kernel(self, family, ls):
+        labeled, unlabeled = _helix()
+        got = self._assert_same(shared_models(2, Kernel(family, 1.0, ls)), labeled, unlabeled)
+        u = got.num_sites
+        assert 0 < got.num_pairs < u * (u - 1) // 2  # the cutoff dropped some pairs
+
+    def test_per_class_length_scales_keep_the_union(self):
+        labeled, unlabeled = _three_circles()
+        kernels = [Kernel("se", 0.25, 0.3), Kernel("exp", 0.5, 0.1), Kernel("se", 0.25, 0.3)]
+        models = [ClassModel(m, k) for m, k in zip((0.1, -0.2, 0.0), kernels)]
+        got = self._assert_same(models, labeled, unlabeled)
+        # each kernel decreases with distance, so the union is what the widest keeps
+        alone = [build_energy(shared_models(3, k), labeled, unlabeled).num_pairs for k in kernels]
+        assert got.num_pairs == max(alone) > min(alone)
+
+    def test_no_cutoff_keeps_every_pair(self):
+        labeled, unlabeled = _three_circles()
+        models = [ClassModel(0.0, Kernel("se", 1.0, s)) for s in (0.05, 0.2, 1.0)]
+        got = self._assert_same(models, labeled, unlabeled, cutoff=None)
+        u = got.num_sites
+        assert got.num_pairs == u * (u - 1) // 2
+
+    @pytest.mark.parametrize("cutoff", [PAIR_CUTOFF, None])
+    def test_single_site_has_no_pairs(self, cutoff):
+        labeled, unlabeled = _helix()
+        got = self._assert_same(
+            shared_models(2, Kernel("se", 1.0, 0.1)), labeled, unlabeled[:1], cutoff=cutoff
+        )
+        assert got.num_sites == 1 and got.num_pairs == 0
+
+    def test_random_small_instances(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            q = int(rng.integers(2, 5))
+            models, labeled, unlabeled, _ = random_ssl_instance(
+                rng, q=q, max_unlabeled=30, shared_kernel=bool(rng.integers(0, 2))
+            )
+            for cutoff in (PAIR_CUTOFF, 0.05, None):
+                self._assert_same(models, labeled, unlabeled, cutoff=cutoff)
+
+
 class TestJoint:
     def test_single_point(self):
         models = [ClassModel(0.4, Kernel("se", 2.0, 1.0)), ClassModel(0.0, Kernel("se"))]
@@ -118,6 +193,33 @@ class TestJoint:
             )
             got = joint_unnormalized_log_prob(models, Dataset(x, y, q))
             assert got == pytest.approx(total, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_minus_energy_of_the_field_without_labeled_data(self, data):
+        q = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 8))
+        d = data.draw(st.integers(1, 3))
+        row = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+        x = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.integers(1, q), min_size=n, max_size=n)))
+        kernel = st.builds(
+            Kernel, st.sampled_from(["se", "exp"]), st.floats(0.1, 3.0), st.floats(0.1, 3.0)
+        )
+        shared = data.draw(kernel)
+        models = [
+            ClassModel(data.draw(st.floats(-2.0, 2.0)), data.draw(st.just(shared) | kernel))
+            for _ in range(q)
+        ]
+        joint = joint_unnormalized_log_prob(models, Dataset(x, y, q))
+        energy = energy_of(build_energy(models, None, x, cutoff=None), y)
+        # the two sum the same terms in different orders; the total may cancel,
+        # so the tolerance is a few ulps of the sum of the terms' magnitudes
+        magnitude = sum(
+            np.sum(y == a + 1) * abs(m.mean) + 0.5 * m.kernel.gram(x[y == a + 1]).sum()
+            for a, m in enumerate(models)
+        )
+        assert abs(joint + energy) <= 8 * np.finfo(float).eps * magnitude
 
     def test_unlabeled_point_rejected(self):
         models = shared_models(2, Kernel("se"))
