@@ -48,6 +48,17 @@ class Kernel:
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite real, got {v!r}")
             object.__setattr__(self, name, float(v))
+        if fam == "se":
+            # _from_sqdist divides by 2 l^2, which must neither overflow nor underflow to 0
+            try:
+                denom = 2.0 * self.length_scale**2
+            except OverflowError:
+                denom = np.inf
+            if not (np.isfinite(denom) and denom > 0):
+                raise ValueError(
+                    f"se length_scale {self.length_scale!r} is out of range: "
+                    "2*length_scale**2 must be a positive finite float"
+                )
 
     def eval(self, s):
         """Covariance at displacement ``s`` (scalar, (D,) vector, or (M, D) batch)."""

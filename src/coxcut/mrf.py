@@ -27,10 +27,14 @@ from .simulate import log_product_density
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
 PAIR_CUTOFF = 1e-12  # pairwise tables with all |entries| below this are dropped
-# Largest unlabeled set: at this size each distinct kernel's U x U float64 gram takes 0.5 GB.
+# Largest unlabeled set. Each distinct kernel's U x U float64 gram (0.5 GB at
+# this size) is built beside one more U x U temporary, so one kernel peaks at
+# 16 U^2 bytes (1.07 GB here) and k kernels at 8 (k + 1) U^2 bytes.
 MAX_SSL_SITES = 8192
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # labelings per brute-force scan chunk
+# Elements per (pairs, Q, Q, Q) margin temporary in check_pairwise_representable.
+_MARGIN_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -103,9 +107,9 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     kernels = dict.fromkeys(m.kernel for m in models)  # distinct, in class order
     if u > MAX_SSL_SITES:
         raise ValueError(
-            f"{u} unlabeled sites need {len(kernels) * 8 * u * u / 1e9:.1f} GB of "
-            f"{u}x{u} float64 kernel matrices (one per distinct kernel); "
-            f"the limit is {MAX_SSL_SITES} sites"
+            f"{u} unlabeled sites need {(len(kernels) + 1) * 8 * u * u / 1e9:.1f} GB of "
+            f"{u}x{u} float64 arrays (one kernel matrix per distinct kernel and one "
+            f"temporary); the limit is {MAX_SSL_SITES} sites"
         )
     if not np.all(np.isfinite(x_u)):
         raise ValueError("unlabeled covariates contain non-finite values")
@@ -190,11 +194,13 @@ def check_pairwise_representable(
     """Verify E(a,a) + E(b,c) <= E(a,c) + E(b,a) + tol for every pair and triple.
 
     Returns (True, None) or (False, (site_j, site_k, a, b, c)) with the first
-    violating tuple (labels 1-based).
+    violating tuple (labels 1-based). Pairs are checked in chunks whose
+    margin arrays hold about _MARGIN_ELEMENTS entries each.
     """
     t = energy.tables
-    for start in range(0, energy.num_pairs, _CHUNK):
-        chunk = t[start : start + _CHUNK]
+    step = max(1, _MARGIN_ELEMENTS // energy.num_labels**3)
+    for start in range(0, energy.num_pairs, step):
+        chunk = t[start : start + step]
         diag = np.diagonal(chunk, axis1=1, axis2=2)  # (n, Q)
         # margin[p, a, b, c] = E(a,a) + E(b,c) - E(a,c) - E(b,a)
         margin = (

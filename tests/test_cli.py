@@ -189,6 +189,30 @@ class TestSiteLimit:
         assert not any(tmp_path.iterdir())  # no output file was started
 
 
+class TestLengthScaleRange:
+    @pytest.mark.parametrize("length_scale", ["1e200", "1e-300"])
+    @pytest.mark.parametrize("command", ["ssl", "predict", "fit", "fit --ssl"])
+    def test_out_of_range_se_length_scale_is_one_line_error(self, tmp_path, capsys,
+                                                           command, length_scale):
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "ssl": ["ssl", "--data", data, "--lengthscale", length_scale, "--out", out],
+            "predict": ["predict", "--train", data, "--test", data,
+                        "--lengthscale", length_scale, "--out", out],
+            "fit": ["fit", "--train", data, "--grid", f"0.5,{length_scale}", "--out", out],
+            "fit --ssl": ["fit", "--train", data, "--ssl", "--folds", "2",
+                          "--grid", f"0.5,{length_scale}", "--out", out],
+        }[command]
+        code, stdout, err = _run(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [
+            f"coxcut: error: se length_scale {float(length_scale)!r} is out of range: "
+            "2*length_scale**2 must be a positive finite float"
+        ]
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestFit:
     def test_loo_table_and_best(self, tmp_path, capsys):
         data = _gen_circles(tmp_path, capsys)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import _reference_expansion
 from _instances import random_models, random_ssl_instance
+from _reference_expansion import alpha_expansion_reference, expansion_move_reference
 from coxcut import (
     Dataset,
     EnergyGraph,
@@ -12,11 +14,44 @@ from coxcut import (
     build_energy,
     energy_of,
     expansion_move,
+    gen_concentric_circles,
+    partition,
     predict_label,
     predict_proba,
     shared_models,
     ssl_solve,
 )
+from coxcut import expansion
+
+
+def _circles_energy(radii, n_per_class, length_scale, seed):
+    """Energy of a circles set with 8 labeled points per class (about 300 sites)."""
+    q = len(radii)
+    ds = gen_concentric_circles(n_per_class, radii, 0.1, seed)
+    labeled, heldout = partition(ds, 8, seed)
+    return build_energy(shared_models(q, Kernel("se", 1.0, length_scale)), labeled, heldout.covariates)
+
+
+# Circles instances of 288-312 sites at the workload's and at wider length scales.
+CIRCLES = [((1.0, 2.0, 3.0), 104, 0.2, 0), ((1.0, 2.0, 3.0), 104, 0.5, 1),
+           ((1.0, 2.0, 3.0, 4.0), 80, 0.2, 2), ((1.0, 2.0, 3.0, 4.0), 80, 0.35, 3)]
+
+
+def _modular_plus_potts_energy(rng, q, num_sites, num_pairs):
+    """Random energy whose tables f(a) + g(b) - w delta(a, b) are representable but not symmetric."""
+    pi, pj = np.triu_indices(num_sites, 1)
+    picked = np.sort(rng.choice(len(pi), num_pairs, replace=False))
+    diag = np.arange(q)
+    tables = rng.normal(0, 1, (num_pairs, q, 1)) + rng.normal(0, 1, (num_pairs, 1, q))
+    tables[:, diag, diag] -= rng.uniform(0, 2, (num_pairs, q))
+    return EnergyGraph(rng.normal(0, 2, (num_sites, q)), pi[picked], pj[picked], tables)
+
+
+def _count_cuts(monkeypatch, module):
+    calls = []
+    real = module.binary_map
+    monkeypatch.setattr(module, "binary_map", lambda e: calls.append(e.num_sites) or real(e))
+    return calls
 
 
 class TestAlphaExpansion:
@@ -75,6 +110,91 @@ class TestAlphaExpansion:
         *_, energy = random_ssl_instance(np.random.default_rng(3), q=3, max_unlabeled=4)
         with pytest.raises(ValueError, match="alpha"):
             expansion_move(energy, np.ones(energy.num_sites, np.int64), 4)
+
+
+class TestMatchesReference:
+    """Reduced moves and the early stop give the reference's labelings and energies."""
+
+    def _assert_same_run(self, energy, init):
+        history, ref_history = [], []
+        res = alpha_expansion(energy, init, history=history)
+        ref = alpha_expansion_reference(energy, init, history=ref_history)
+        assert np.array_equal(res, ref)
+        assert history == ref_history
+        assert energy_of(energy, res) == energy_of(energy, ref) == history[-1]
+        return res
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_random_instances(self, q):
+        rng = np.random.default_rng(10 + q)
+        for _ in range(40):
+            *_, energy = random_ssl_instance(rng, q=q, max_labeled=8, max_unlabeled=40)
+            self._assert_same_run(energy, rng.integers(1, q + 1, energy.num_sites))
+            self._assert_same_run(energy, np.argmin(energy.unary, axis=1) + 1)
+
+    def test_brute_force_sized_instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            *_, energy = random_ssl_instance(rng, q=3, max_unlabeled=10)
+            res = self._assert_same_run(energy, rng.integers(1, 4, energy.num_sites))
+            _, e_star = brute_force_map(energy)
+            assert energy_of(energy, res) >= e_star - 1e-12
+
+    @pytest.mark.parametrize("radii,n_per_class,length_scale,seed", CIRCLES)
+    def test_circles(self, radii, n_per_class, length_scale, seed):
+        energy = _circles_energy(radii, n_per_class, length_scale, seed)
+        assert 280 <= energy.num_sites <= 320
+        self._assert_same_run(energy, np.argmin(energy.unary, axis=1) + 1)
+
+    def test_asymmetric_tables(self):
+        # Potts energies from build_energy have symmetric tables; these do not,
+        # so a row/column mix-up in the folded pair terms shows here
+        rng = np.random.default_rng(15)
+        for q in (3, 4) * 15:
+            energy = _modular_plus_potts_energy(rng, q, 30, 120)
+            self._assert_same_run(energy, rng.integers(1, q + 1, energy.num_sites))
+
+    def test_every_move_from_mixed_labelings(self):
+        rng = np.random.default_rng(13)
+        energies = [random_ssl_instance(rng, q=q, max_unlabeled=30)[-1] for q in (3, 4) * 10]
+        energies += [_modular_plus_potts_energy(rng, q, 30, 120) for q in (3, 4) * 5]
+        energies.append(_circles_energy(*CIRCLES[2]))
+        for energy in energies:
+            q = energy.num_labels
+            for labels in (rng.integers(1, q + 1, energy.num_sites),
+                           rng.integers(1, 3, energy.num_sites)):  # labels 3.. absent
+                for alpha in range(1, q + 1):
+                    move, e_move = expansion_move(energy, labels, alpha)
+                    ref, e_ref = expansion_move_reference(energy, labels, alpha)
+                    assert np.array_equal(move, ref)
+                    assert e_move == e_ref == energy_of(energy, move)
+
+    def test_move_with_every_site_at_alpha_skips_the_cut(self, monkeypatch):
+        *_, energy = random_ssl_instance(np.random.default_rng(14), q=3, max_unlabeled=12)
+        calls = _count_cuts(monkeypatch, expansion)
+        labels = np.full(energy.num_sites, 2, np.int64)
+        move, e_move = expansion_move(energy, labels, 2)
+        assert calls == []
+        assert np.array_equal(move, labels) and move is not labels
+        assert e_move == energy_of(energy, labels)
+
+    def test_moves_cut_only_the_sites_not_at_alpha(self, monkeypatch):
+        energy = _circles_energy(*CIRCLES[0])
+        calls = _count_cuts(monkeypatch, expansion)
+        labels = np.argmin(energy.unary, axis=1) + 1
+        for alpha in (1, 2, 3):
+            expansion_move(energy, labels, alpha)
+        assert calls == [int(np.sum(labels != alpha)) for alpha in (1, 2, 3)]
+
+    def test_fewer_cuts_than_reference(self, monkeypatch):
+        energy = _circles_energy(*CIRCLES[0])
+        calls = _count_cuts(monkeypatch, expansion)
+        ref_calls = _count_cuts(monkeypatch, _reference_expansion)
+        init = np.argmin(energy.unary, axis=1) + 1
+        alpha_expansion(energy, init)
+        alpha_expansion_reference(energy, init)
+        assert 0 < len(calls) < len(ref_calls)
+        assert sum(calls) < sum(ref_calls)
 
 
 class TestSslSolve:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ def test_nonpositive_parameters_rejected(bad):
         Kernel("se", bad, 1.0)
     with pytest.raises(ValueError):
         Kernel("se", 1.0, bad)
+
+
+@pytest.mark.parametrize("length_scale", [1e200, 1.3e154, 1e-300, 1e-162, 5e-324])
+def test_se_length_scale_out_of_float_range_rejected(length_scale):
+    # 2 l^2 overflows (or raises OverflowError in l**2) or underflows to 0
+    with pytest.raises(ValueError, match=re.escape(f"se length_scale {length_scale!r} is out")):
+        Kernel("se", 1.0, length_scale)
+
+
+@pytest.mark.parametrize("length_scale", [9.4e153, 1e-150])
+def test_se_length_scale_at_float_range_edges_evaluates(length_scale):
+    g = Kernel("se", 1.0, length_scale).gram([[0.0], [1.0], [2.0]])
+    assert np.all(np.isfinite(g)) and np.all(np.diag(g) == 1.0)
+
+
+@pytest.mark.parametrize("length_scale", [1e200, 1e-300])
+def test_exp_length_scale_range_is_unrestricted(length_scale):
+    g = Kernel("exp", 1.0, length_scale).gram([[0.0], [1.0]])
+    assert np.all(np.isfinite(g)) and np.all(np.diag(g) == 1.0)
 
 
 def test_non_finite_displacement_rejected():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_expansion
 from _instances import random_ssl_instance
 from _reference_flow import reference_max_flow
 from coxcut import (
     EnergyGraph,
     FlowNetwork,
     Kernel,
-    alpha_expansion,
     binary_map,
     brute_force_map,
     build_energy,
@@ -25,7 +25,7 @@ from coxcut import (
     partition,
     shared_models,
 )
-from coxcut import expansion, mincut
+from coxcut import mincut
 
 
 def _energy(unary, pairs=None, constant=0.0):
@@ -224,7 +224,8 @@ def _kernel_energies():
             models = shared_models(2, Kernel("se", 0.25, ls))
             energy = build_energy(models, labeled, heldout.covariates)
             out.append((f"circles{seed} ls={ls}", energy))
-    # the binary sub-energies that expansion moves hand to the min-cut solver
+    # the binary sub-energies over all sites that the reference expansion
+    # moves hand to the min-cut solver (the reduced moves cut fewer sites)
     for radii, n_per_class in [((1.0, 4.0, 7.0), 70), ((1.0, 3.0, 5.0, 7.0), 50)]:
         q = len(radii)
         ds = gen_concentric_circles(n_per_class, radii, 0.08, q)
@@ -232,8 +233,8 @@ def _kernel_energies():
         full = build_energy(shared_models(q, Kernel("se", 0.25, 1.0)), labeled, heldout.covariates)
         subs = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(expansion, "binary_map", lambda e: subs.append(e) or binary_map(e))
-            alpha_expansion(full, np.argmin(full.unary, axis=1) + 1)
+            mp.setattr(_reference_expansion, "binary_map", lambda e: subs.append(e) or binary_map(e))
+            _reference_expansion.alpha_expansion_reference(full, np.argmin(full.unary, axis=1) + 1)
         out += [(f"expansion Q={q} move {k}", e) for k, e in enumerate(subs[:5])]
     return out
 

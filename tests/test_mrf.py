@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from coxcut import (
     predict_proba,
     shared_models,
 )
+from coxcut import mrf
 from coxcut.mrf import PAIR_CUTOFF, _scan_logz_numpy, _scan_min_numpy
 
 
@@ -307,6 +309,43 @@ class TestRepresentability:
         energy = _hand_energy(np.zeros((3, 2)), pairs=[(0, 1, np.zeros((2, 2)))])
         ok, _ = check_pairwise_representable(energy)
         assert ok
+
+    @staticmethod
+    def _potts_chain(q, num_pairs, seed):
+        """A chain of Potts tables -w * delta(a, b), all representable."""
+        rng = np.random.default_rng(seed)
+        tables = np.zeros((num_pairs, q, q))
+        diag = np.arange(q)
+        tables[:, diag, diag] = -rng.uniform(0.0, 1.0, (num_pairs, q))
+        sites = np.arange(num_pairs + 1)
+        return EnergyGraph(np.zeros((num_pairs + 1, q)), sites[:-1], sites[1:], tables)
+
+    def test_margin_memory_is_bounded_at_eight_labels(self):
+        energy = self._potts_chain(8, 20_000, 7)  # 10 MB of tables
+        tracemalloc.start()
+        try:
+            ok, witness = check_pairwise_representable(energy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and witness is None
+        assert peak < 64e6
+
+    def test_first_violation_in_a_later_chunk_is_reported(self, monkeypatch):
+        q, num_pairs = 8, 20_000  # chunks of 2048 pairs at the default size
+        energy = self._potts_chain(q, num_pairs, 8)
+        for p, (b, c) in [(19_000, (1, 4)), (15_000, (2, 5))]:
+            energy.tables[p, b, c] = 5.0
+        t = energy.tables[15_000]
+        want = next(
+            (15_000, 15_001, a + 1, b + 1, c + 1)
+            for a in range(q) for b in range(q) for c in range(q)
+            if t[a, a] + t[b, c] > t[a, c] + t[b, a] + 1e-9
+        )
+        assert check_pairwise_representable(energy) == (False, want)
+        for elements in (1, q**3 * num_pairs):  # one pair per chunk; one chunk
+            monkeypatch.setattr(mrf, "_MARGIN_ELEMENTS", elements)
+            assert check_pairwise_representable(energy) == (False, want)
 
 
 class TestBruteForce:
