@@ -26,6 +26,11 @@ class ClassModel:
     mean: float
     kernel: Kernel
 
+    def __post_init__(self):
+        # a NaN or infinite mean would turn every energy and probability into NaN
+        if not np.isfinite(self.mean):
+            raise ValueError(f"class mean must be a finite real, got {self.mean!r}")
+
 
 def shared_models(num_classes: int, kernel: Kernel, means=None) -> list[ClassModel]:
     """Q class models sharing one kernel; means default to zero."""

@@ -107,9 +107,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.cv_subsample is not None and args.cv_subsample < 2:
+        raise ValueError(f"--cv-subsample must be at least 2, got {args.cv_subsample}")
     ds = load_csv(args.train, args.label_column)
     x, y = ds.labeled()
-    if args.cv_subsample and args.cv_subsample < len(x):
+    if args.cv_subsample is not None and args.cv_subsample < len(x):
         idx = np.random.default_rng(args.seed).permutation(len(x))[: args.cv_subsample]
         idx.sort()
         x, y = x[idx], y[idx]

@@ -46,6 +46,11 @@ def _validated_grid(grid) -> np.ndarray:
     return g
 
 
+def _grid_kernels(kernel_family: str, grid: np.ndarray) -> list[Kernel]:
+    # built before any work, so a bad value anywhere in the grid fails at once
+    return [Kernel(kernel_family, 1.0, float(ls)) for ls in grid]
+
+
 def _best(grid: np.ndarray, errors: np.ndarray) -> float:
     tied = np.flatnonzero(errors == errors.min())
     return float(grid[tied].max())
@@ -80,14 +85,14 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
     if grid is None:
         grid = default_lengthscale_grid(x)
     grid = _validated_grid(grid)
+    kernels = _grid_kernels(kernel_family, grid)
     q = train.num_classes
     onehot = np.zeros((n, q))
     onehot[np.arange(n), y - 1] = 1.0
     d2 = sym_sq_dists(x)
     buf = np.empty_like(d2)
     errors = np.empty(len(grid))
-    for gi, ls in enumerate(grid):
-        kern = Kernel(kernel_family, 1.0, float(ls))
+    for gi, kern in enumerate(kernels):
         class_sums = kern._from_sqdist(d2, out=buf) @ onehot  # (n, q): attraction per class
         class_sums[np.arange(n), y - 1] -= kern.signal_variance  # drop self term
         pred = np.argmax(class_sums, axis=1) + 1
@@ -119,13 +124,14 @@ def kfold_cv_ssl(
     if grid is None:
         grid = default_lengthscale_grid(np.vstack([x, x_u]) if len(x_u) else x)
     grid = _validated_grid(grid)
+    kernels = _grid_kernels(kernel_family, grid)
     q = labeled.num_classes
 
     rng = np.random.default_rng(seed)
     folds = np.array_split(rng.permutation(n), k)
     errors = np.empty(len(grid))
-    for gi, ls in enumerate(grid):
-        models = shared_models(q, Kernel(kernel_family, 1.0, float(ls)))
+    for gi, kern in enumerate(kernels):
+        models = shared_models(q, kern)
         fold_errs = []
         for fold in folds:
             if len(fold) == 0:

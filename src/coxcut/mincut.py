@@ -1,12 +1,22 @@
 """Exact binary MAP labeling via an s-t min cut.
 
-Each pairwise table [[A, B], [C, D]] with A + D <= B + C decomposes as
+With the convention x = 0 for the source side (label 1), each pairwise
+table [[A, B], [C, D]] with A + D <= B + C is reparametrized as
 
-    E(x1, x2) = A + (C - A) x1 + (D - C) x2 + (B + C - A - D)(1 - x1) x2
+    E(x1, x2) = A (1 - x1) + D x1 + B' (1 - x1) x2 + C' x1 (1 - x2)
 
-so the energy becomes terminal arcs (per-site net coefficients) plus one
-site-to-site arc per pair, all with non-negative capacity. With the
-convention x = 0 for the source side, the capacity of any s/t cut equals
+with B' = B - A and C' = C - D (Kolmogorov & Zabih 2004). The first two
+terms go to site 1's unary, so the pair reaches the terminals only through
+D - A, which is 0 for a Potts table with one shared kernel. The rest is one
+arc pair between the sites: capacity B' on the forward arc 1 -> 2 (cut
+when site 1 is on the source side and site 2 is not) and C' on its
+reverse slot. Representability makes B' + C' >= 0, so at most one side can
+be negative; a negative side is folded onto the terminals, e.g. for B' < 0
+
+    B' (1 - x1) x2 + C' x1 (1 - x2) = B' x2 - B' x1 + (B' + C') x1 (1 - x2)
+
+leaves 0 forward and B' + C' reverse. The per-site sums are terminal arcs,
+all capacities are non-negative, and the capacity of any s/t cut equals
 the (quantized) energy of the induced labeling minus a fixed offset, hence
 a minimum cut is a minimum-energy labeling. Capacities are integers so the
 augmenting-path solver terminates and conservation checks are exact; the
@@ -34,9 +44,10 @@ class FlowNetwork:
     """Capacitated directed graph as a flat list of arc pairs.
 
     Arcs are stored in pairs: arc a and arc a^1 are mutual reverses, and the
-    tail of arc a is ``arc_to[a ^ 1]``. ``arc_cap`` holds residual capacities
-    and is mutated by ``max_flow``; ``arc_cap0`` keeps the original
-    capacities for cut/conservation checks.
+    tail of arc a is ``arc_to[a ^ 1]``. Both arcs of a pair may start with
+    capacity, so one pair carries a two-way edge. ``arc_cap`` holds residual
+    capacities and is mutated by ``max_flow``; ``arc_cap0`` keeps the
+    original capacities for cut/conservation checks.
     """
 
     num_nodes: int
@@ -48,19 +59,27 @@ class FlowNetwork:
 
     @classmethod
     def from_arrays(
-        cls, num_nodes: int, source: int, sink: int, tails, heads, caps
+        cls, num_nodes: int, source: int, sink: int, tails, heads, caps, rev_caps=None
     ) -> "FlowNetwork":
-        """Build a network from parallel arrays of arc tails, heads and integer capacities."""
+        """Build a network from parallel arrays of arc tails, heads and integer capacities.
+
+        ``rev_caps``, if given, holds each arc's capacity from head back to
+        tail; it defaults to 0 (one-way arcs).
+        """
         tails, heads, caps = (np.asarray(v, dtype=np.int64) for v in (tails, heads, caps))
-        negative = np.flatnonzero(caps < 0)
+        arc_cap = np.zeros(2 * len(caps), dtype=np.int64)
+        arc_cap[0::2] = caps
+        if rev_caps is not None:
+            arc_cap[1::2] = rev_caps
+        negative = np.flatnonzero(arc_cap < 0)
         if len(negative):
             a = int(negative[0])
-            raise ValueError(f"negative capacity {caps[a]} on arc ({tails[a]}, {heads[a]})")
+            kind = "reverse capacity" if a & 1 else "capacity"
+            tail, head = tails[a >> 1], heads[a >> 1]
+            raise ValueError(f"negative {kind} {arc_cap[a]} on arc ({tail}, {head})")
         arc_to = np.empty(2 * len(caps), dtype=np.int64)
         arc_to[0::2] = heads
         arc_to[1::2] = tails
-        arc_cap = np.zeros(2 * len(caps), dtype=np.int64)
-        arc_cap[0::2] = caps
         return cls(num_nodes, source, sink, arc_to, arc_cap, arc_cap.copy())
 
     @classmethod
@@ -172,6 +191,19 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     if energy.num_labels != 2:
         raise ValueError(f"min-cut reduction needs a binary energy, got Q={energy.num_labels}")
     t = energy.tables
+    # NaN or inf entries would quantize to garbage; a maximum is NaN or inf
+    # exactly when some entry is
+    unary_max = float(np.abs(energy.unary).max(initial=0.0))
+    table_max = float(np.abs(t).max(initial=0.0))
+    if not math.isfinite(unary_max):
+        k = int(np.flatnonzero(~np.isfinite(energy.unary).all(axis=1))[0])
+        raise ValueError(f"non-finite unary energy at site {k}: {energy.unary[k].tolist()}")
+    if not math.isfinite(table_max):
+        p = int(np.flatnonzero(~np.isfinite(t).all(axis=(1, 2)))[0])
+        raise ValueError(
+            f"non-finite pairwise energy at sites ({int(energy.pair_i[p])}, "
+            f"{int(energy.pair_j[p])}): {t[p].tolist()}"
+        )
     if energy.num_pairs:
         slack = t[:, 0, 1] + t[:, 1, 0] - t[:, 0, 0] - t[:, 1, 1]
         bad = np.flatnonzero(slack < -REPRESENTABILITY_TOL)
@@ -186,41 +218,45 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     n_terms = u + energy.num_pairs + 1
     bits = min(_MAX_QUANT_BITS, _INT_HEADROOM_BITS - max(1, math.ceil(math.log2(n_terms + 1))))
     # floor keeps the scale finite for (near-)zero energies
-    max_abs = max(
-        float(np.abs(energy.unary).max(initial=0.0)),
-        float(np.abs(t).max(initial=0.0)),
-        2.0**bits * 1e-300,
-    )
+    max_abs = max(unary_max, table_max, 2.0**bits * 1e-300)
     scale = 2.0**bits / max_abs
 
     qu = np.rint(energy.unary * scale).astype(np.int64)
-    # Diagonals rounded down, off-diagonals up: keeps every pairwise arc
-    # capacity non-negative without clamping (error < 1 quantum per entry).
+    # Diagonals rounded down, off-diagonals up: keeps B' + C' non-negative
+    # without clamping (error < 1 quantum per entry).
     qa = np.floor(t[:, 0, 0] * scale).astype(np.int64)
     qd = np.floor(t[:, 1, 1] * scale).astype(np.int64)
-    qb = np.ceil(t[:, 0, 1] * scale).astype(np.int64)
-    qc = np.ceil(t[:, 1, 0] * scale).astype(np.int64)
-    pair_cap = np.maximum(qb + qc - qa - qd, 0)  # < 0 only within the tolerance band
+    fwd = np.ceil(t[:, 0, 1] * scale).astype(np.int64) - qa  # B'
+    rev = np.ceil(t[:, 1, 0] * scale).astype(np.int64) - qd  # C'
+    # Fold a negative side onto the terminals: site i's unary gains shift and
+    # site j's loses it. If both sides are negative (only inside the
+    # tolerance band), C' is folded and the forward arc is clamped at 0.
+    shift = np.where(rev < 0, rev, np.maximum(-fwd, 0))
+    fwd += shift
+    rev -= shift
+    np.maximum(fwd, 0, out=fwd)  # < 0 only within the tolerance band
+    np.maximum(rev, 0, out=rev)
 
-    theta = (qu[:, 1] - qu[:, 0]).copy()
+    theta = qu[:, 1] - qu[:, 0]
     offset = int(qu[:, 0].sum())
     if energy.num_pairs:
-        np.add.at(theta, energy.pair_i, qc - qa)
-        np.add.at(theta, energy.pair_j, qd - qc)
+        np.add.at(theta, energy.pair_i, qd - qa + shift)
+        np.add.at(theta, energy.pair_j, -shift)
         offset += int(qa.sum())
     offset += int(theta[theta < 0].sum())
 
     source, sink = u, u + 1
     # terminal arcs in site order (source -> k for theta > 0, k -> sink for
-    # theta < 0), then every pair arc with positive capacity
+    # theta < 0), then one arc pair per site pair with any capacity
     ks = np.flatnonzero(theta)
     up = theta[ks] > 0
-    kept = pair_cap > 0
+    kept = np.flatnonzero(fwd + rev)
     network = FlowNetwork.from_arrays(
         u + 2, source, sink,
         np.concatenate([np.where(up, source, ks), energy.pair_i[kept]]),
         np.concatenate([np.where(up, ks, sink), energy.pair_j[kept]]),
-        np.concatenate([np.abs(theta[ks]), pair_cap[kept]]),
+        np.concatenate([np.abs(theta[ks]), fwd[kept]]),
+        np.concatenate([np.zeros(len(ks), dtype=np.int64), rev[kept]]),
     )
     return network, QuantizationRecord(scale=scale, offset=offset, bits=bits)
 

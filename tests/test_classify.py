@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coxcut import (
+    ClassModel,
     Dataset,
     Kernel,
     activations,
@@ -181,3 +182,11 @@ def test_activations_batch_empty_class_contributes_constant_only():
     f = activations_batch(models, train, np.array([[5.0, 5.0]]))[0]
     assert f[1] == pytest.approx(0.3 + 0.5, abs=1e-15)
     assert f[2] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_class_model_rejects_non_finite_mean(mean):
+    with pytest.raises(ValueError, match=r"^class mean must be a finite real, got"):
+        ClassModel(mean, Kernel("se"))
+    with pytest.raises(ValueError, match="finite"):
+        shared_models(2, Kernel("se"), [0.0, mean])

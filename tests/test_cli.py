@@ -213,6 +213,35 @@ class TestLengthScaleRange:
         assert not (tmp_path / "out.csv").exists()
 
 
+def _module_env():
+    """Environment for ``python -m coxcut`` that imports this checkout's sources."""
+    src = str(Path(coxcut.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+class TestNonFiniteMeans:
+    @pytest.mark.parametrize(("means", "bad"), [("nan,0", "nan"), ("0,inf", "inf"),
+                                                ("-inf,0", "-inf")])
+    @pytest.mark.parametrize("command", ["ssl", "predict", "energy"])
+    def test_non_finite_mean_is_one_line_error(self, tmp_path, capsys, command, means, bad):
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        out = str(tmp_path / "out")
+        argv = {
+            "ssl": ["ssl", "--data", data, "--out", out],
+            "predict": ["predict", "--train", data, "--test", data, "--out", out],
+            "energy": ["energy", "--data", data, "--dump", out],
+        }[command] + ["--lengthscale", "0.3", "--means", means]
+        # a separate process, so that a solver that never returns fails the test
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"coxcut: error: class mean must be a finite real, got {float(bad)!r}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+
 class TestFit:
     def test_loo_table_and_best(self, tmp_path, capsys):
         data = _gen_circles(tmp_path, capsys)
@@ -236,6 +265,20 @@ class TestFit:
         assert len(err.splitlines()) == 1 and "--cv-subsample" in err
         code, out, _ = _run(capsys, *argv, "--cv-subsample", "200")
         assert code == 0 and "best_lengthscale=" in out
+
+    @pytest.mark.parametrize("subsample", ["0", "1", "-3"])
+    @pytest.mark.parametrize("ssl", [False, True])
+    def test_cv_subsample_below_two_is_one_line_error(self, tmp_path, capsys, subsample, ssl):
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        out = tmp_path / "table.csv"
+        argv = ["fit", "--train", data, "--grid", "0.5,1.0", "--cv-subsample", subsample,
+                "--out", str(out)] + (["--ssl", "--folds", "2"] if ssl else [])
+        code, stdout, err = _run(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [
+            f"coxcut: error: --cv-subsample must be at least 2, got {subsample}"
+        ]
+        assert not out.exists()
 
     def test_ssl_fit_runs(self, tmp_path, capsys):
         _gen_circles(tmp_path, capsys, labeled_per_class=6)
@@ -310,9 +353,7 @@ class TestExitCodes:
         assert "coxcut" in res.stdout
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(coxcut.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = _module_env()
         res = subprocess.run(
             [sys.executable, "-m", "coxcut", "--help"], capture_output=True, text=True, env=env
         )

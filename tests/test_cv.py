@@ -124,6 +124,28 @@ class TestLooMatchesReference:
         assert peak <= 2.5 * n * n * 8
 
 
+class TestGridValidatedBeforeWork:
+    # 1e200 is a positive finite float, but 2 * 1e200**2 overflows the se kernel
+    def test_loo_refuses_late_bad_value_before_any_distance(self, monkeypatch):
+        from coxcut import cv
+
+        calls = []
+        monkeypatch.setattr(cv, "sym_sq_dists", lambda x: calls.append(x) or 1 / 0)
+        with pytest.raises(ValueError, match="out of range"):
+            loo_cv(_clusters(), "se", [0.5, 1.0, 1e200])
+        assert calls == []
+
+    def test_kfold_refuses_late_bad_value_before_any_solve(self, monkeypatch):
+        from coxcut import cv
+
+        calls = []
+        monkeypatch.setattr(cv, "ssl_solve", lambda *a: calls.append(a) or 1 / 0)
+        labeled, heldout = TestKfoldCvSsl()._instance()
+        with pytest.raises(ValueError, match="out of range"):
+            kfold_cv_ssl(labeled, heldout.covariates, 2, "se", [0.5, 1e200], seed=0)
+        assert calls == []
+
+
 class TestKfoldCvSsl:
     def _instance(self, seed=0):
         ds = gen_double_helix(40, 1.0, 1.5, 2.0, 0.04, 777)

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import _reference_expansion
 from _instances import random_ssl_instance
 from _reference_flow import reference_max_flow
+from _reference_network import build_flow_network_reference
 from coxcut import (
     EnergyGraph,
     FlowNetwork,
@@ -78,6 +80,34 @@ class TestRawNetworks:
             assert flow == best
             assert cut_capacity(net, side) == flow
 
+    def test_two_way_arcs_match_exhaustive_cut(self):
+        rng = np.random.default_rng(10)
+        n = 9  # source 0, sink 8, 7 inner nodes
+        for _ in range(40):
+            pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.35]
+            tails, heads = (np.array(c, dtype=np.int64).reshape(-1) for c in zip(*pairs))
+            caps = rng.integers(0, 20, len(pairs)) * (rng.random(len(pairs)) < 0.8)
+            rev_caps = rng.integers(0, 20, len(pairs)) * (rng.random(len(pairs)) < 0.8)
+            net = FlowNetwork.from_arrays(n, 0, n - 1, tails, heads, caps, rev_caps)
+            assert np.array_equal(net.arc_cap0[1::2], rev_caps)
+            ref_flow, ref_side = reference_max_flow(net)
+            flow, side = max_flow(net)
+            best = None
+            for bits in product([True, False], repeat=n - 2):
+                s_side = np.array([True, *bits, False])
+                cost = int(np.sum(caps[s_side[tails] & ~s_side[heads]]))
+                cost += int(np.sum(rev_caps[s_side[heads] & ~s_side[tails]]))
+                best = cost if best is None else min(best, cost)
+            assert flow == best == ref_flow
+            assert np.array_equal(side, ref_side)
+            assert cut_capacity(net, side) == flow
+            balance = node_balances(net)
+            assert balance[0] == flow and np.all(balance[1:-1] == 0)
+
+    def test_negative_reverse_capacity_rejected_with_its_arc(self):
+        with pytest.raises(ValueError, match=r"^negative reverse capacity -2 on arc \(1, 2\)$"):
+            FlowNetwork.from_arrays(3, 0, 2, [0, 1], [1, 2], [1, 1], [0, -2])
+
 
 class TestBuildFlowNetwork:
     def test_zero_energy_all_zero_capacities(self):
@@ -115,6 +145,30 @@ class TestBuildFlowNetwork:
     def test_multiclass_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             build_flow_network(_energy(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        table = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        unary = np.zeros((3, 2))
+        unary[1, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite unary energy at site 1"):
+            binary_map(_energy(unary, pairs=[(0, 2, table)]))
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite pairwise energy at sites \(0, 2\)"):
+            binary_map(_energy(np.zeros((3, 2)), pairs=[(0, 1, -np.eye(2)), (0, 2, table)]))
+
+    def test_shared_kernel_potts_without_unaries_has_no_terminal_arcs(self):
+        ds = gen_double_helix(60, 1.0, 1.5, 2.0, 0.04, 5)
+        labeled, heldout = partition(ds, 5, 5)
+        potts = build_energy(shared_models(2, Kernel("se", 1.0, 0.3)), labeled, heldout.covariates)
+        assert potts.num_pairs > 0
+        energy = EnergyGraph(np.zeros_like(potts.unary), potts.pair_i, potts.pair_j, potts.tables)
+        net, rec = build_flow_network(energy)
+        assert not np.isin(net.arc_to, [net.source, net.sink]).any()
+        assert len(net.arc_to) == 2 * potts.num_pairs  # one arc pair per kept pair
+        flow, side = max_flow(net)
+        assert flow == 0
+        assert side.tolist() == [False] * energy.num_sites + [True, False]
 
 
 class TestBinaryMap:
@@ -207,6 +261,7 @@ class TestQuantizationSoundness:
             assert cut_capacity(net, side) + rec.offset == quantized
 
 
+@cache
 def _kernel_energies():
     """(name, energy) pairs of 150-400 sites on the paper's synthetic shapes."""
     out = []
@@ -259,3 +314,59 @@ class TestAgainstReferenceSolver:
             labels = binary_map(energy)
             assert np.array_equal(labels, ref_labels), name
             assert energy_of(energy, labels) == energy_of(energy, ref_labels), name
+
+
+def _asymmetric_energy(rng, u):
+    """Random binary energy with representable tables, often with b < a or c < d."""
+    unary = rng.normal(0.0, 1.0, (u, 2))
+    pairs = []
+    for i, j in combinations(range(u), 2):
+        if rng.random() < 0.6:
+            a, b, d = rng.normal(0.0, 1.0, 3)
+            c = a + d - b + abs(rng.normal(0.0, 1.0))  # slack b + c - a - d > 0
+            pairs.append((i, j, [[a, b], [c, d]]))
+    return _energy(unary, pairs)
+
+
+def _pair_arcs(network):
+    """Arc pairs that join two sites (neither end a terminal)."""
+    ends = network.arc_to.reshape(-1, 2)
+    return int(np.count_nonzero((ends < network.source).all(axis=1)))
+
+
+class TestAgainstReferenceNetwork:
+    """The two-way pair arcs against the reference decomposition onto the terminals."""
+
+    def test_cut_plus_offset_matches_reference_on_every_labeling(self):
+        rng = np.random.default_rng(11)
+        # build_energy's tables (per-class kernels make them asymmetric), then
+        # tables with B' < 0 or C' < 0, which build_energy never produces
+        instances = [random_ssl_instance(rng, q=2, max_unlabeled=8)[-1] for _ in range(20)]
+        instances += [_asymmetric_energy(rng, int(rng.integers(2, 9))) for _ in range(30)]
+        t = np.concatenate([e.tables for e in instances])
+        assert np.sum(t[:, 0, 1] < t[:, 0, 0]) > 20 and np.sum(t[:, 1, 0] < t[:, 1, 1]) > 20
+        for energy in instances:
+            net, rec = build_flow_network(energy)
+            ref, ref_rec = build_flow_network_reference(energy)
+            assert (rec.scale, rec.bits) == (ref_rec.scale, ref_rec.bits)
+            u = energy.num_sites
+            for labs in product([True, False], repeat=u):
+                side = np.array([*labs, True, False])
+                cut = cut_capacity(net, side) + rec.offset
+                assert cut == cut_capacity(ref, side) + ref_rec.offset
+            flow, side = max_flow(net)
+            ref_flow, ref_side = max_flow(ref)
+            assert flow + rec.offset == ref_flow + ref_rec.offset
+            assert np.array_equal(side, ref_side)
+
+    def test_binary_map_matches_reference_on_kernel_energies(self):
+        for name, energy in _kernel_energies():
+            net, rec = build_flow_network(energy)
+            ref, ref_rec = build_flow_network_reference(energy)
+            assert _pair_arcs(net) == _pair_arcs(ref), name  # one arc pair per kept pair
+            flow, side = max_flow(net)
+            ref_flow, ref_side = max_flow(ref)
+            assert flow + rec.offset == ref_flow + ref_rec.offset, name
+            assert np.array_equal(side, ref_side), name
+            ref_labels = mincut._flip_polish(energy, np.where(ref_side[: energy.num_sites], 1, 2))
+            assert np.array_equal(binary_map(energy), ref_labels), name
