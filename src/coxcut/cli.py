@@ -79,11 +79,12 @@ def _cmd_gen(args) -> int:
         ds = gen_double_helix(
             args.n_per_class, args.radius, args.pitch, args.turns, args.noise, args.seed
         )
-    if args.truth_out:
-        save_csv(ds, args.truth_out)
+    truth = ds
     if args.labeled_per_class:
         mask = stratified_mask(ds, args.labeled_per_class, args.seed)
         ds = Dataset(ds.covariates, np.where(mask, ds.labels, 0), ds.num_classes)
+    if args.truth_out:
+        save_csv(truth, args.truth_out)
     save_csv(ds, args.out)
     return 0
 
@@ -171,6 +172,9 @@ def _cmd_eval(args) -> int:
         scored &= ~masked.labeled_mask  # score only rows the solver had to predict
     if not scored.any():
         raise ValueError("no rows to score")
+    blank = int(np.sum(scored & ~pred.labeled_mask))
+    if blank:
+        raise ValueError(f"{args.pred}: {blank} scored rows have no predicted label")
     wrong = int(np.sum(pred.labels[scored] != truth.labels[scored]))
     total = int(scored.sum())
     print(f"error={wrong / total:.6f} scored={total} wrong={wrong}")

@@ -203,6 +203,11 @@ def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
             w.writerow([repr(float(v)) for v in row] + [str(int(lab)) if lab else ""])
 
 
+def _check_class_size(n_per_class: int) -> None:
+    if n_per_class < 1:
+        raise ValueError(f"points per class must be at least 1, got {n_per_class}")
+
+
 def gen_concentric_circles(
     n_per_class: int, radii, noise_std: float = 0.0, seed: int = 0
 ) -> Dataset:
@@ -214,6 +219,7 @@ def gen_concentric_circles(
         raise ValueError(f"radii must be strictly increasing, got {radii.tolist()}")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
+    _check_class_size(n_per_class)
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for i, r in enumerate(radii, start=1):
@@ -239,6 +245,7 @@ def gen_double_helix(
         raise ValueError("radius, pitch and turns must be positive")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
+    _check_class_size(n_per_class)
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for i, phase in enumerate((0.0, np.pi), start=1):
@@ -259,6 +266,8 @@ def gen_double_helix(
 
 def stratified_mask(dataset: Dataset, n_labeled_per_class: int, seed: int = 0) -> np.ndarray:
     """Boolean mask selecting n labeled rows per class, uniformly at random."""
+    if n_labeled_per_class < 0:
+        raise ValueError(f"labeled points per class must be >= 0, got {n_labeled_per_class}")
     rng = np.random.default_rng(seed)
     mask = np.zeros(dataset.n, dtype=bool)
     for c in range(1, dataset.num_classes + 1):

@@ -61,6 +61,30 @@ class TestGen:
         assert load_csv(tmp_path / "h.csv").dim == 3
 
 
+    @pytest.mark.parametrize("shape", ["circles", "helix"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_class_size_below_one_is_one_line_error(self, tmp_path, capsys, shape, n):
+        out = tmp_path / "d.csv"
+        code, stdout, err = _run(
+            capsys, "gen", "--shape", shape, "--n-per-class", n, "--out", str(out)
+        )
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [f"coxcut: error: points per class must be at least 1, got {n}"]
+        assert not out.exists()
+
+    def test_negative_labeled_per_class_is_one_line_error(self, tmp_path, capsys):
+        out, truth = tmp_path / "d.csv", tmp_path / "truth.csv"
+        code, stdout, err = _run(
+            capsys, "gen", "--shape", "circles", "--n-per-class", "30",
+            "--labeled-per-class", "-1", "--truth-out", str(truth), "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [
+            "coxcut: error: labeled points per class must be >= 0, got -1"
+        ]
+        assert not out.exists() and not truth.exists()
+
+
 class TestSimulate:
     def test_field_and_points_files(self, tmp_path, capsys):
         code, *_ = _run(
@@ -131,6 +155,27 @@ class TestPredictEval:
             capsys, "eval", "--pred", str(tmp_path / "inv.csv"), "--truth", str(truth)
         )
         assert code == 0 and out.startswith("error=1.000000")
+
+
+    def test_eval_refuses_scored_rows_without_a_prediction(self, tmp_path, capsys):
+        truth = _gen_circles(tmp_path, capsys, name="truth.csv")
+        masked = _gen_circles(tmp_path, capsys, labeled_per_class=5, name="masked.csv")
+        for extra in ([], ["--data", str(masked)]):
+            code, out, err = _run(
+                capsys, "eval", "--pred", str(masked), "--truth", str(truth), *extra
+            )
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                f"coxcut: error: {masked}: 50 scored rows have no predicted label"
+            ]
+        # blank rows that are not scored are fine
+        m, t = load_csv(masked), load_csv(truth)
+        pred = tmp_path / "pred.csv"
+        save_csv(Dataset(t.covariates, np.where(m.labeled_mask, 0, t.labels), 2), pred)
+        code, out, _ = _run(
+            capsys, "eval", "--pred", str(pred), "--truth", str(truth), "--data", str(masked)
+        )
+        assert code == 0 and out.startswith("error=0.000000 scored=50 ")
 
 
 class TestSsl:

@@ -1,3 +1,5 @@
+import logging
+import re
 from functools import cache
 from itertools import combinations, product
 
@@ -92,13 +94,7 @@ class TestRawNetworks:
             assert np.array_equal(net.arc_cap0[1::2], rev_caps)
             ref_flow, ref_side = reference_max_flow(net)
             flow, side = max_flow(net)
-            best = None
-            for bits in product([True, False], repeat=n - 2):
-                s_side = np.array([True, *bits, False])
-                cost = int(np.sum(caps[s_side[tails] & ~s_side[heads]]))
-                cost += int(np.sum(rev_caps[s_side[heads] & ~s_side[tails]]))
-                best = cost if best is None else min(best, cost)
-            assert flow == best == ref_flow
+            assert flow == _exhaustive_min_cut(net, caps, rev_caps) == ref_flow
             assert np.array_equal(side, ref_side)
             assert cut_capacity(net, side) == flow
             balance = node_balances(net)
@@ -107,6 +103,145 @@ class TestRawNetworks:
     def test_negative_reverse_capacity_rejected_with_its_arc(self):
         with pytest.raises(ValueError, match=r"^negative reverse capacity -2 on arc \(1, 2\)$"):
             FlowNetwork.from_arrays(3, 0, 2, [0, 1], [1, 2], [1, 1], [0, -2])
+
+
+def _copy(net):
+    return FlowNetwork(
+        net.num_nodes, net.source, net.sink, net.arc_to.copy(), net.arc_cap.copy(),
+        net.arc_cap0.copy(),
+    )
+
+
+def _assert_feasible_flow(net, value):
+    """Residuals hold a flow of ``value`` from source to sink within the capacities."""
+    assert np.all(net.arc_cap >= 0)
+    # flow on a slot is residual capacity moved to its reverse slot
+    assert np.array_equal(net.arc_cap.reshape(-1, 2).sum(1), net.arc_cap0.reshape(-1, 2).sum(1))
+    balance = node_balances(net)
+    assert balance[net.source] == value and balance[net.sink] == -value
+    assert np.all(np.delete(balance, [net.source, net.sink]) == 0)
+
+
+def _raw_network(rng, n=8):
+    """Random two-way arcs, the terminals at random nodes, plus every awkward kind of arc.
+
+    Parallel source and sink arcs, arcs between the terminals in both
+    directions, an arc into the source, one out of the sink and a self-loop;
+    about a fifth of the capacities are 0.
+    """
+    s, t, a, b = (int(x) for x in rng.choice(n, 4, replace=False))
+    tails = [s, s, a, a, s, t, a, t, b]
+    heads = [a, a, t, t, t, s, s, b, b]
+    for _ in range(int(rng.integers(6, 30))):
+        u, v = rng.choice(n, 2, replace=False)
+        tails.append(int(u))
+        heads.append(int(v))
+    k = len(tails)
+    caps = rng.integers(0, 20, k) * (rng.random(k) < 0.8)
+    rev_caps = rng.integers(0, 20, k) * (rng.random(k) < 0.8)
+    return FlowNetwork.from_arrays(n, s, t, tails, heads, caps, rev_caps), caps, rev_caps
+
+
+def _exhaustive_min_cut(net, caps, rev_caps):
+    tails, heads = net.arc_to[1::2], net.arc_to[0::2]
+    inner = np.delete(np.arange(net.num_nodes), [net.source, net.sink])
+    best = None
+    for bits in product([True, False], repeat=len(inner)):
+        side = np.zeros(net.num_nodes, dtype=bool)
+        side[inner] = bits
+        side[net.source] = True
+        cost = int(np.sum(caps[side[tails] & ~side[heads]]))
+        cost += int(np.sum(rev_caps[side[heads] & ~side[tails]]))
+        best = cost if best is None else min(best, cost)
+    return best
+
+
+class TestBulkPush:
+    """The push along source -> v -> w -> sink paths that runs before Dinic."""
+
+    def test_raw_networks_match_reference_and_exhaustive_cut(self):
+        rng = np.random.default_rng(12)
+        pushed = []
+        for _ in range(150):
+            net, caps, rev_caps = _raw_network(rng)
+            pushed.append(mincut._push_three_arc_paths(_copy(net)))
+            ref_flow, ref_side = reference_max_flow(net)
+            flow, side = max_flow(net)
+            assert flow == ref_flow == _exhaustive_min_cut(net, caps, rev_caps)
+            assert np.array_equal(side, ref_side)
+            assert cut_capacity(net, side) == flow
+            _assert_feasible_flow(net, flow)
+        assert np.mean(np.array(pushed) > 0) > 0.5  # the push did carry flow
+
+    def test_push_alone_is_a_feasible_flow(self):
+        rng = np.random.default_rng(13)
+        nets = [_raw_network(rng)[0] for _ in range(100)]
+        nets += [build_flow_network(energy)[0] for _, energy in _kernel_energies()]
+        carried = 0
+        for net in nets:
+            flow, _ = max_flow(_copy(net))
+            pushed = mincut._push_three_arc_paths(net)
+            _assert_feasible_flow(net, pushed)
+            assert 0 <= pushed <= flow
+            carried += pushed > 0
+        assert carried > len(nets) // 2
+
+    @pytest.mark.parametrize("tight", ["source", "sink"])
+    def test_exact_at_2_to_the_48_capacities(self, tight):
+        # 101 parallel arcs of 2**48 + k into one node: their sum is past
+        # 2**53, where a float64 sum drops the low bits
+        exact = [2**48 + k for k in range(1, 102)]
+        loose = [2**48 + 2**40] * 101
+        total = sum(exact)
+        assert int(np.bincount(np.zeros(101, int), weights=np.array(exact, float))[0]) != total
+        source_caps, sink_caps = (exact, loose) if tight == "source" else (loose, exact)
+        tails = [0] * 101 + [1] * 101 + [2] * 101
+        heads = [1] * 101 + [2] * 101 + [3] * 101
+        net = FlowNetwork.from_arrays(4, 0, 3, tails, heads, source_caps + loose + sink_caps)
+        probe = _copy(net)
+        assert mincut._push_three_arc_paths(probe) == total
+        _assert_feasible_flow(probe, total)
+        ref_flow, ref_side = reference_max_flow(net)
+        flow, side = max_flow(net)
+        assert flow == ref_flow == total
+        assert np.array_equal(side, ref_side)
+
+    def test_capacities_near_int64_limit_stay_exact(self):
+        # node 1 has 10 units of supply and four arcs to node 2; the running
+        # sum of their capacities passes 2**63, which must not wrap round
+        # into a share for the last arc
+        big = 2**62
+        net = FlowNetwork.from_arrays(
+            4, 0, 3, [0, 1, 1, 1, 1, 2], [1, 2, 2, 2, 2, 3], [10, big, big, big, 5, big]
+        )
+        probe = _copy(net)
+        _assert_feasible_flow(probe, mincut._push_three_arc_paths(probe))
+        ref_flow, ref_side = reference_max_flow(net)
+        flow, side = max_flow(net)
+        assert flow == ref_flow == 10
+        assert np.array_equal(side, ref_side)
+        # a reverse slot 3 below the int64 limit can take back only 3 units
+        limit = int(np.iinfo(np.int64).max)
+        net = FlowNetwork.from_arrays(
+            4, 0, 3, [0, 1, 2], [1, 2, 3], [10, 10, 10], [limit - 3, 0, 0]
+        )
+        assert mincut._push_three_arc_paths(net) == 3
+        _assert_feasible_flow(net, 3)
+
+    def test_debug_line_adds_up_to_the_flow(self, caplog):
+        _, energy = _kernel_energies()[0]
+        net, _ = build_flow_network(energy)
+        with caplog.at_level(logging.INFO, logger="coxcut.mincut"):
+            max_flow(_copy(net))
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="coxcut.mincut"):
+            flow, _ = max_flow(net)
+        (record,) = [r for r in caplog.records if r.name == "coxcut.mincut"]
+        assert record.levelno == logging.DEBUG
+        numbers = re.findall(r"\d+", record.getMessage())
+        nodes, pairs, pushed, found, phases = (int(v) for v in numbers)
+        assert (nodes, pairs) == (net.num_nodes, len(net.arc_to) // 2)
+        assert pushed + found == flow and pushed > 0 and phases >= 1
 
 
 class TestBuildFlowNetwork:
