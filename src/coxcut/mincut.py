@@ -33,6 +33,15 @@ this carries over 90% of the flow, which Dinic would otherwise find one
 flow value, and the nodes reachable from the source in the final residual
 graph are the same for every maximum flow (the minimal source side of a
 minimum cut), so the returned cut and labeling do not depend on the push.
+
+Dinic's algorithm (Dinitz 1970) then finishes on the residual graph, with
+the arcs sorted into CSR order by tail. Each phase finds the BFS levels in
+int64 numpy, one step per level, and selects the admissible arcs (live, from
+one level to the next, and on a path to the sink) with numpy masks; only
+the blocking-flow depth-first search runs in Python, over those arcs alone,
+and the flow it sends is written back to the residuals in numpy. Every arc
+pair's two capacities must sum to at most 2**63 - 1: a flow never changes
+that sum, so no residual update can overflow.
 """
 
 from __future__ import annotations
@@ -113,66 +122,6 @@ class QuantizationRecord:
     bits: int
 
 
-def _dinic(start, end, to, rev, cap, source, sink):
-    # Dinic's algorithm over plain lists in CSR order: node u owns arc slots
-    # start[u]..end[u]-1, slot a leads to to[a] and rev[a] is its reverse
-    # slot. cap holds Python ints and is updated in place. Each phase builds
-    # a BFS level graph and finds a blocking flow by depth-first search with
-    # current-arc pointers; after an augmentation the search resumes from the
-    # tail of the first saturated arc. Returns (flow, nodes reachable from
-    # the source in the final residual graph, phases).
-    n = len(start)
-    total = phases = 0
-    while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = [source]
-        for u in queue:  # appending while iterating visits every queued node
-            lu = level[u]
-            if lu == level[sink]:
-                break  # deeper nodes cannot lie on a shortest augmenting path
-            lu += 1
-            for a in range(start[u], end[u]):
-                if cap[a]:
-                    v = to[a]
-                    if level[v] < 0:
-                        level[v] = lu
-                        queue.append(v)
-        if level[sink] < 0:
-            return total, queue, phases
-        phases += 1
-        cur = start[:]
-        path = []
-        u = source
-        while True:
-            if u == sink:
-                bottleneck = min([cap[a] for a in path])
-                for a in path:
-                    cap[a] -= bottleneck
-                    cap[rev[a]] += bottleneck
-                total += bottleneck
-                for i, a in enumerate(path):
-                    if not cap[a]:
-                        break
-                del path[i:]
-                u = to[rev[a]]
-                continue
-            a, e, want = cur[u], end[u], level[u] + 1
-            while a < e and not (cap[a] and level[to[a]] == want):
-                a += 1
-            cur[u] = a
-            if a < e:
-                path.append(a)
-                u = to[a]
-            else:
-                level[u] = -1  # dead end for the rest of this phase
-                if not path:
-                    break
-                a = path.pop()
-                u = to[rev[a]]
-                cur[u] = a + 1
-
-
 def _greedy_fill(want, group, budget):
     # Entry k gets min(want[k], what is left of budget[group[k]] after the
     # entries before it in its group), in stable order. Returns the
@@ -233,6 +182,92 @@ def _push_three_arc_paths(network: FlowNetwork) -> int:
     return int(f.sum())
 
 
+def _check_pair_sums(network: FlowNetwork) -> None:
+    # The sum of an arc pair's two residuals does not change under any flow,
+    # so while it fits in int64 every residual update below is exact.
+    cap = network.arc_cap
+    over = np.flatnonzero(cap[1::2] > _INT64_MAX - cap[0::2])
+    if len(over):
+        a = 2 * int(over[0])
+        tail, head = network.arc_to[a + 1], network.arc_to[a]
+        total = int(cap[a]) + int(cap[a + 1])
+        raise ValueError(
+            f"arc pair ({tail}, {head}) has capacities summing to {total}, above 2**63 - 1"
+        )
+
+
+def _level_graph(bounds, to, tail, cap, source, sink):
+    # Breadth-first levels over the CSR slots with cap > 0, one numpy step
+    # per level: gather the frontier's slots, keep the live ones and mark
+    # their unvisited heads. Stops after the sink's level (deeper nodes
+    # cannot lie on a shortest augmenting path); unreached nodes keep -1.
+    # If the sink is reached, also returns the admissible slots in CSR
+    # order: from the deepest level back, the live slots of level k whose
+    # head is the sink or a node of level k + 1 kept so far. A live slot
+    # from level k leads no deeper than k + 1, so these are the slots from
+    # one level to the next that lie on a path to the sink.
+    level = np.full(len(bounds) - 1, -1, dtype=np.int64)
+    level[source] = 0
+    frontier = np.array([source])
+    steps = []
+    while len(frontier) and level[sink] < 0:
+        lo = bounds[frontier]
+        count = bounds[frontier + 1] - lo
+        end = np.cumsum(count)
+        slots = np.repeat(lo - end + count, count) + np.arange(end[-1])
+        slots = slots[cap[slots] > 0]
+        heads = to[slots]
+        steps.append(slots)
+        level[heads[level[heads] < 0]] = len(steps)
+        frontier = np.flatnonzero(level == len(steps))
+    if level[sink] < 0:
+        return level, None
+    kept = np.zeros(len(level), dtype=bool)
+    kept[sink] = True
+    for k in reversed(range(len(steps))):
+        steps[k] = steps[k][kept[to[steps[k]]]]
+        kept[tail[steps[k]]] = True
+    return level, np.sort(np.concatenate(steps))
+
+
+def _blocking_flow(first, head, tail, cap, source, sink):
+    # Blocking flow by depth-first search over one phase's admissible slots
+    # (plain lists): node u owns slots first[u]..first[u+1]-1, slot k leads
+    # from tail[k] to head[k] one level deeper, and cap is lowered in place.
+    # Current-arc pointers skip spent slots and slots into dead ends (nodes
+    # with no admissible slot left, marked for the rest of the phase); after
+    # an augmentation the search resumes from the tail of the first
+    # saturated slot. Returns the flow sent.
+    cur, end = first[:-1], first[1:]
+    alive = [True] * len(cur)
+    total = 0
+    path = []
+    u = source
+    while True:
+        if u == sink:
+            left = [cap[k] for k in path]
+            bottleneck = min(left)
+            for k in path:
+                cap[k] -= bottleneck
+            total += bottleneck
+            i = left.index(bottleneck)
+            u = tail[path[i]]
+            del path[i:]
+            continue
+        k, e = cur[u], end[u]
+        while k < e and not (cap[k] and alive[head[k]]):
+            k += 1
+        cur[u] = k
+        if k < e:
+            path.append(k)
+            u = head[k]
+        else:
+            alive[u] = False
+            if not path:
+                return total
+            u = tail[path.pop()]
+
+
 def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     """Solve the network in place; returns (flow value, source-side mask per node).
 
@@ -245,8 +280,19 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     reachable from the source after it do not depend on the flow started
     from, so the push changes only the residual capacities left in
     ``network.arc_cap``.
+
+    Each Dinic phase finds the BFS levels and the admissible arcs (live,
+    from one level to the next, into the sink only at the sink's level, and
+    on a path to the sink) in int64 numpy over the arcs in CSR order; only
+    the blocking-flow search runs in Python, over the admissible arcs alone,
+    and the flow it sends is applied to the residuals in numpy.
+
+    Raises ``ValueError`` before touching any capacity if an arc pair's two
+    capacities sum past 2**63 - 1.
     """
     n, m = network.num_nodes, len(network.arc_to)
+    s, t = network.source, network.sink
+    _check_pair_sums(network)
     pushed = _push_three_arc_paths(network)
     tails = network.arc_to[np.arange(m) ^ 1]
     order = np.argsort(tails, kind="stable")  # CSR slot -> arc
@@ -254,19 +300,27 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     slot[order] = np.arange(m)  # arc -> CSR slot
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=bounds[1:])
-    cap = network.arc_cap[order].tolist()
-    flow, reached, phases = _dinic(
-        bounds[:-1].tolist(), bounds[1:].tolist(), network.arc_to[order].tolist(),
-        slot[order ^ 1].tolist(), cap, network.source, network.sink,
-    )
+    to, tail, rev = network.arc_to[order], tails[order], slot[order ^ 1]
+    cap = network.arc_cap[order]
+    first = np.zeros(n + 1, dtype=np.int64)
+    flow = phases = 0
+    while True:
+        level, adm = _level_graph(bounds, to, tail, cap, s, t)
+        if adm is None:
+            break
+        phases += 1
+        np.cumsum(np.bincount(tail[adm], minlength=n), out=first[1:])
+        left = cap[adm].tolist()
+        flow += _blocking_flow(first.tolist(), to[adm].tolist(), tail[adm].tolist(), left, s, t)
+        sent = cap[adm] - left
+        cap[adm] -= sent
+        cap[rev[adm]] += sent
     network.arc_cap[order] = cap
     _log.debug(
         "max_flow: %d nodes, %d arc pairs, %d pushed in bulk, %d found by Dinic in %d phases",
         n, m // 2, pushed, flow, phases,
     )
-    source_side = np.zeros(n, dtype=bool)
-    source_side[reached] = True
-    return pushed + flow, source_side
+    return pushed + flow, level >= 0
 
 
 def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRecord]:

@@ -244,6 +244,147 @@ class TestBulkPush:
         assert pushed + found == flow and pushed > 0 and phases >= 1
 
 
+def _solve_and_check(caplog, net, exhaustive=None):
+    """max_flow against the reference Dinic; returns (Dinic phases logged, source side)."""
+    ref_flow, ref_side = reference_max_flow(net)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="coxcut.mincut"):
+        flow, side = max_flow(net)
+    assert flow == ref_flow
+    if exhaustive is not None:
+        assert flow == exhaustive
+    assert np.array_equal(side, ref_side)
+    assert cut_capacity(net, side) == flow
+    _assert_feasible_flow(net, flow)
+    (record,) = [r for r in caplog.records if r.name == "coxcut.mincut"]
+    return int(re.findall(r"\d+", record.getMessage())[-1]), side
+
+
+def _chain_with_shortcuts(rng, n):
+    """Source 0 to sink n-1 along a chain, plus short jumps either way."""
+    tails = list(range(n - 1))
+    heads = list(range(1, n))
+    for _ in range(n):
+        u = int(rng.integers(0, n - 2))
+        v = min(n - 1, u + int(rng.integers(2, 5)))
+        if rng.random() < 0.3:
+            u, v = v, u
+        tails.append(u)
+        heads.append(v)
+    k = len(tails)
+    caps = rng.integers(1, 30, k)
+    rev_caps = rng.integers(0, 30, k) * (rng.random(k) < 0.5)
+    return FlowNetwork.from_arrays(n, 0, n - 1, tails, heads, caps, rev_caps)
+
+
+def _grid(rng, rows, cols):
+    """Two-way grid arcs; the source feeds the left column, the right one drains."""
+    node = np.arange(rows * cols).reshape(rows, cols)
+    s, t = rows * cols, rows * cols + 1
+    tails = [node[:, :-1].ravel(), node[:-1, :].ravel(), np.full(rows, s), node[:, -1]]
+    heads = [node[:, 1:].ravel(), node[1:, :].ravel(), node[:, 0], np.full(rows, t)]
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    caps = rng.integers(1, 20, len(tails))
+    rev_caps = rng.integers(0, 20, len(tails))
+    return FlowNetwork.from_arrays(rows * cols + 2, s, t, tails, heads, caps, rev_caps)
+
+
+def _sink_level_crowd(rng):
+    """Layers s | a0..a2 | sink, b0..b3 | c0..c2: arcs within the layers, and
+    from b and c back into the sink, so that later phases run through them."""
+    s, a, t, b, c = 0, [1, 2, 3], 4, [5, 6, 7, 8], [9, 10, 11]
+    arcs = [(s, x) for x in a] + [(x, t) for x in a]
+    arcs += [(x, y) for x in a for y in b if rng.random() < 0.5]
+    arcs += [(x, y) for x, y in combinations(a, 2)] + [(x, y) for x, y in combinations(b, 2)]
+    arcs += [(x, y) for x in b for y in c if rng.random() < 0.5]
+    arcs += [(x, t) for x in b + c if rng.random() < 0.5]
+    arcs += [(x, y) for x, y in combinations(c, 2)]
+    tails, heads = (list(v) for v in zip(*arcs))
+    k = len(arcs)
+    caps = rng.integers(1, 20, k)
+    rev_caps = rng.integers(0, 20, k) * (rng.random(k) < 0.5)
+    return FlowNetwork.from_arrays(12, s, t, tails, heads, caps, rev_caps), caps, rev_caps
+
+
+class TestPhaseLoop:
+    """Dinic's phases after the push: numpy levels, Python search over admissible slots."""
+
+    def test_deep_chains_with_shortcuts(self, caplog):
+        rng = np.random.default_rng(21)
+        nets = [_chain_with_shortcuts(rng, n) for n in (40, 120, 300)]
+        phases = [_solve_and_check(caplog, net)[0] for net in nets]
+        assert max(phases) >= 3
+
+    def test_grids_take_many_levels_and_phases(self, caplog):
+        rng = np.random.default_rng(22)
+        nets = [_grid(rng, r, c) for r, c in ((3, 30), (8, 8), (12, 5))]
+        phases = [_solve_and_check(caplog, net)[0] for net in nets]
+        assert max(phases) >= 5
+
+    def test_nodes_at_the_sinks_level_and_arcs_within_a_level(self, caplog):
+        rng = np.random.default_rng(23)
+        phases = []
+        for _ in range(40):
+            net, caps, rev_caps = _sink_level_crowd(rng)
+            exhaustive = _exhaustive_min_cut(net, caps, rev_caps)
+            phases.append(_solve_and_check(caplog, net, exhaustive)[0])
+        assert max(phases) >= 2
+
+    def test_hand_built_sink_level_crowd(self, caplog):
+        # s=0, a=1, b=2, c=3, d=4, sink=5, e=6; no path s -> v -> w -> sink,
+        # so the push sends nothing. Phase 1 sends 3 along s-a-b-c-sink, with
+        # d at the sink's level and the arc e -> c within level 3. Phase 2
+        # sends 7 along s-a-b-c-d-sink and must not take e -> c. Phase 3
+        # sends 3 along s-a-b-e-c-d-sink.
+        arcs = [(0, 1, 20), (1, 2, 20), (2, 3, 10), (3, 5, 3), (3, 4, 10), (4, 5, 10),
+                (2, 6, 10), (6, 3, 5)]
+        net = FlowNetwork.from_arcs(7, 0, 5, arcs)
+        caps = np.array([c for *_, c in arcs])
+        phases, side = _solve_and_check(caplog, net, _exhaustive_min_cut(net, caps, 0 * caps))
+        assert phases == 3 and side.tolist() == [True, True, True, True, False, False, True]
+        assert net.arc_cap[0::2].tolist() == [7, 7, 0, 0, 0, 0, 7, 2]
+
+    def test_parallel_and_two_way_arcs(self, caplog):
+        # parallel arc pairs between each two consecutive nodes of 0-1-2-3-4,
+        # most of them two-way, and a two-way arc from 1 to 3
+        tails = [0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 1]
+        heads = [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 3]
+        caps = [3, 4, 1, 5, 2, 2, 1, 3, 6, 1, 2]
+        rev_caps = [0, 2, 4, 0, 3, 1, 3, 0, 0, 2, 1]
+        net = FlowNetwork.from_arrays(5, 0, 4, tails, heads, caps, rev_caps)
+        exhaustive = _exhaustive_min_cut(net, np.array(caps), np.array(rev_caps))
+        assert exhaustive == 7
+        assert _solve_and_check(caplog, net, exhaustive)[0] >= 1
+
+    def test_source_without_out_arcs(self, caplog):
+        net = FlowNetwork.from_arcs(4, 0, 3, [(1, 0, 5), (1, 2, 5), (2, 3, 5)])
+        phases, side = _solve_and_check(caplog, net, 0)
+        assert phases == 0 and side.tolist() == [True, False, False, False]
+
+    def test_no_arcs(self, caplog):
+        net = FlowNetwork.from_arrays(3, 0, 2, [], [], [])
+        phases, side = _solve_and_check(caplog, net, 0)
+        assert phases == 0 and side.tolist() == [True, False, False]
+
+    def test_unreachable_sink(self, caplog):
+        arcs = [(0, 1, 4), (1, 2, 3), (2, 0, 2), (3, 4, 9), (4, 3, 1)]
+        net = FlowNetwork.from_arcs(5, 0, 4, arcs)
+        phases, side = _solve_and_check(caplog, net, 0)
+        assert phases == 0 and side.tolist() == [True, True, True, False, False]
+
+    def test_pair_sum_past_int64_rejected(self, caplog):
+        net = FlowNetwork.from_arrays(
+            4, 0, 3, [0, 1, 2], [1, 2, 3], [10, 10, 10], [2**63 - 4, 0, 0]
+        )
+        before = net.arc_cap.copy()
+        message = rf"^arc pair \(0, 1\) has capacities summing to {2**63 + 6}, above 2\*\*63 - 1$"
+        with pytest.raises(ValueError, match=message):
+            max_flow(net)
+        assert np.array_equal(net.arc_cap, before)
+        limit = FlowNetwork.from_arrays(3, 0, 2, [0, 1], [1, 2], [10, 10], [2**63 - 11, 0])
+        assert _solve_and_check(caplog, limit)[0] == 1  # a sum of exactly 2**63 - 1 is fine
+
+
 class TestBuildFlowNetwork:
     def test_zero_energy_all_zero_capacities(self):
         energy = _energy(np.zeros((3, 2)), pairs=[(0, 1, np.zeros((2, 2)))])
