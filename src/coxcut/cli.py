@@ -378,6 +378,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as e:
         print(f"coxcut: error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # last resort for sizes that no guard refused before allocating
+        print(f"coxcut: error: {args.command} ran out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

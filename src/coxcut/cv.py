@@ -29,9 +29,22 @@ def default_lengthscale_grid(covariates, size: int = GRID_SIZE, seed: int = 0) -
         x = x[:, None]
     if len(x) > _MEDIAN_SUBSAMPLE:
         x = x[np.random.default_rng(seed).permutation(len(x))[:_MEDIAN_SUBSAMPLE]]
-    d2 = np.sum(x * x, axis=1)
-    dists = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2 * x @ x.T, 0.0))
-    med = float(np.median(dists[np.triu_indices(len(x), k=1)]))
+    n = len(x)
+    sq = np.sum(x * x, axis=1)
+    g = 2 * x @ x.T
+    # the squared distances above the diagonal, row by row; sqrt is monotone,
+    # so the median distance is the mean of the middle order statistics' roots
+    d2 = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        row = d2[pos : pos + n - 1 - i]
+        np.add(sq[i], sq[i + 1 :], out=row)
+        np.subtract(row, g[i, i + 1 :], out=row)
+        pos += n - 1 - i
+    np.maximum(d2, 0.0, out=d2)
+    half = len(d2) // 2
+    mid = [half] if len(d2) % 2 else [half - 1, half]
+    med = float(np.mean(np.sqrt(np.partition(d2, mid)[mid]))) if len(d2) else 0.0
     if not med > 0:
         med = 1.0
     return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, size)

@@ -5,6 +5,17 @@ of the label random field, and as smoothing windows for the kernel density
 classifier. Both implemented families are isotropic (Euclidean norm of the
 displacement) and satisfy 0 <= C(s) <= C(0) = signal_variance everywhere,
 which is what makes min-cut inference applicable downstream.
+
+Every matrix is evaluated in place, in chunks of about _CHUNK elements so
+that each chunk's divide, exp and scale stay in cache. np.exp leaves its
+vector path for arguments below about -708, where results are subnormal or
+underflow, and runs one to two orders of magnitude slower there. A chunk
+that reaches that range writes exactly 0 for the arguments at or below
+_EXP_ZERO, where np.exp gives 0 as well, and exps the others between
+_EXP_ZERO and _EXP_FAST_MIN on their own, so the rest of the chunk stays on
+the vector path. Results stay bit-identical to one np.exp over the whole
+matrix. Squared distances are (|a|^2 + |b|^2) - 2 a.b, clamped at 0, and
+are written into the caller's buffer.
 """
 
 from __future__ import annotations
@@ -22,6 +33,10 @@ _FAMILIES = {
 }
 
 _SUM_TILE = 512  # training points per row_sums tile
+_CHUNK = 16384  # elements per in-place evaluation chunk (128 KB of float64)
+_SYM_BLOCK = 128  # side of the square blocks that sym_sq_dists symmetrizes
+_EXP_FAST_MIN = -707.0  # np.exp stays on its vector path above about this
+_EXP_ZERO = -750.0  # np.exp(x) == 0.0 exactly for every x <= _EXP_ZERO
 
 
 @dataclass(frozen=True)
@@ -75,19 +90,47 @@ class Kernel:
     def _from_sqdist(self, d2, out=None):
         """C at squared distances ``d2``, written into ``out`` when given.
 
-        ``out`` may be ``d2`` itself. Dividing by the negated denominator is
-        bit-identical to negating the numerator, since IEEE division is
-        sign-symmetric.
+        ``out`` must be C-contiguous and may be ``d2`` itself. Dividing by the
+        negated denominator is bit-identical to negating the numerator, since
+        IEEE division is sign-symmetric.
         """
+        d2 = np.asarray(d2, dtype=np.float64)
         if out is None:
-            out = np.empty(np.shape(d2))
-        if self.family == "se":
-            np.divide(d2, -(2.0 * self.length_scale**2), out=out)
-        else:
-            np.sqrt(d2, out=out)
-            np.divide(out, -self.length_scale, out=out)
-        np.exp(out, out=out)
-        np.multiply(out, self.signal_variance, out=out)
+            out = np.empty(d2.shape)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array")
+        if not d2.flags.c_contiguous:
+            np.copyto(out, d2)
+            d2 = out
+        src, dst = d2.reshape(-1), out.reshape(-1)
+        se = self.family == "se"
+        scale = -(2.0 * self.length_scale**2) if se else -self.length_scale
+        # A divide that overflows gives -inf, the exact limit, whose exp is 0;
+        # it is the only step here that can overflow (d2 >= 0 keeps exp's
+        # argument <= 0 and the product <= signal_variance).
+        with np.errstate(over="ignore"):
+            for start in range(0, dst.size, _CHUNK):
+                x, y = src[start : start + _CHUNK], dst[start : start + _CHUNK]
+                if se:
+                    np.divide(x, scale, out=y)
+                else:
+                    np.sqrt(x, out=y)
+                    np.divide(y, scale, out=y)
+                if y.min() < _EXP_FAST_MIN:  # a NaN min compares false: plain np.exp
+                    # Only the slow arguments above _EXP_ZERO are exped on
+                    # their own; the rest of the chunk is raised to
+                    # _EXP_FAST_MIN so np.exp stays on its vector path, and
+                    # the slow entries are zeroed after it.
+                    slow = y < _EXP_FAST_MIN
+                    live = np.flatnonzero(slow & (y > _EXP_ZERO))
+                    vals = np.exp(y[live])
+                    np.maximum(y, _EXP_FAST_MIN, out=y)
+                    np.exp(y, out=y)
+                    np.multiply(y, ~slow, out=y)
+                    y[live] = vals
+                else:
+                    np.exp(y, out=y)
+                np.multiply(y, self.signal_variance, out=y)
         return out
 
     def cross(self, a, b) -> np.ndarray:
@@ -118,9 +161,17 @@ class Kernel:
             raise ValueError(
                 f"point sets have mismatched dimensions {a.shape[1]} and {b.shape[1]}"
             )
-        out = np.zeros(a.shape[0])
-        for start in range(0, b.shape[0], _SUM_TILE):
-            d2 = _sq_dists(a, b[start : start + _SUM_TILE])
+        m, n = len(a), len(b)
+        aa = np.sum(a * a, axis=1)
+        bb = np.sum(b * b, axis=1)
+        buf = np.empty(m * min(n, _SUM_TILE))
+        out = np.zeros(m)
+        for start in range(0, n, _SUM_TILE):
+            stop = min(start + _SUM_TILE, n)
+            # A leading slice of the flat buffer keeps a partial last tile
+            # contiguous; a column slice of an (m, _SUM_TILE) view would not be.
+            d2 = buf[: m * (stop - start)].reshape(m, stop - start)
+            _sq_dists(a, b[start:stop], aa, bb[start:stop], out=d2)
             out += self._from_sqdist(d2, out=d2).sum(axis=1)
         return out
 
@@ -137,17 +188,47 @@ def _as_points(x) -> np.ndarray:
 
 
 def sym_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Squared distances within one (N, D) point set: exactly symmetric, zero diagonal."""
+    """Squared distances within one (N, D) point set: exactly symmetric, zero diagonal.
+
+    The distances are symmetrized as 0.5 * (d2 + d2.T) in place, one square
+    block and its mirror at a time, so no transposed n x n copy is made.
+    """
     d2 = _sq_dists(x, x)
-    d2 = 0.5 * (d2 + d2.T)
+    n = len(x)
+    tmp = np.empty((_SYM_BLOCK, _SYM_BLOCK))
+    for i in range(0, n, _SYM_BLOCK):
+        for j in range(i, n, _SYM_BLOCK):
+            upper = d2[i : i + _SYM_BLOCK, j : j + _SYM_BLOCK]
+            lower = d2[j : j + _SYM_BLOCK, i : i + _SYM_BLOCK]
+            t = tmp[: upper.shape[0], : upper.shape[1]]
+            np.add(upper, lower.T, out=t)
+            np.multiply(t, 0.5, out=t)
+            upper[...] = t
+            lower[...] = t.T
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = np.sum(a * a, axis=1)
-    bb = np.sum(b * b, axis=1)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _sq_dists(a: np.ndarray, b: np.ndarray, aa=None, bb=None, out=None) -> np.ndarray:
+    """(aa_i + bb_j) - 2 (a @ b.T), clamped at 0, into ``out`` when given.
 
+    ``aa`` and ``bb`` are the squared row norms of ``a`` and ``b`` when the
+    caller has them; ``out`` must be a C-contiguous (len(a), len(b)) array.
+    The product is written into ``out`` and the rest runs in row strips of
+    about _CHUNK elements.
+    """
+    if aa is None:
+        aa = np.sum(a * a, axis=1)
+    if bb is None:
+        bb = np.sum(b * b, axis=1)
+    out = np.matmul(a, b.T, out=out)
+    rows = max(1, _CHUNK // max(1, len(b)))
+    tmp = np.empty((min(rows, len(a)), len(b)))
+    for start in range(0, len(a), rows):
+        g = out[start : start + rows]
+        t = tmp[: len(g)]
+        np.add(aa[start : start + rows, None], bb, out=t)
+        np.multiply(g, 2.0, out=g)
+        np.subtract(t, g, out=g)
+        np.maximum(g, 0.0, out=g)
+    return out

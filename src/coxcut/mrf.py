@@ -28,12 +28,13 @@ BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
 PAIR_CUTOFF = 1e-12  # pairwise tables with all |entries| below this are dropped
 # Largest unlabeled set. Each distinct kernel's U x U float64 gram (0.5 GB at
-# this size) is built beside one more U x U temporary, so one kernel peaks at
-# 16 U^2 bytes (1.07 GB here) and k kernels at 8 (k + 1) U^2 bytes.
+# this size) is evaluated in place; with the U x U masks that select the kept
+# pairs, one kernel peaks below 16 U^2 bytes (1.07 GB here) and k kernels
+# below 8 (k + 1) U^2 bytes.
 MAX_SSL_SITES = 8192
 
 _CHUNK = 1 << 16  # labelings per brute-force scan chunk
-# Elements per (pairs, Q, Q, Q) margin temporary in check_pairwise_representable.
+# Elements per (pairs, triples) margin temporary in check_pairwise_representable.
 _MARGIN_ELEMENTS = 1 << 20
 
 
@@ -194,26 +195,35 @@ def check_pairwise_representable(
     """Verify E(a,a) + E(b,c) <= E(a,c) + E(b,a) + tol for every pair and triple.
 
     Returns (True, None) or (False, (site_j, site_k, a, b, c)) with the first
-    violating tuple (labels 1-based). Pairs are checked in chunks whose
-    margin arrays hold about _MARGIN_ELEMENTS entries each.
+    violating tuple (labels 1-based). Only triples with a != b and a != c are
+    evaluated: for the others both sides are the same two entries, so the
+    margin is 0 exactly, while evaluating it could round above ``tol``. Pairs
+    are checked in chunks whose margin arrays hold about _MARGIN_ELEMENTS
+    entries each.
     """
-    t = energy.tables
-    step = max(1, _MARGIN_ELEMENTS // energy.num_labels**3)
+    q = energy.num_labels
+    a, b, c = np.indices((q, q, q)).reshape(3, -1)
+    keep = (a != b) & (a != c)
+    a, b, c = a[keep], b[keep], c[keep]
+    if not len(a):
+        return True, None
+    flat = energy.tables.reshape(energy.num_pairs, q * q)
+    step = max(1, _MARGIN_ELEMENTS // len(a))
     for start in range(0, energy.num_pairs, step):
-        chunk = t[start : start + step]
-        diag = np.diagonal(chunk, axis1=1, axis2=2)  # (n, Q)
-        # margin[p, a, b, c] = E(a,a) + E(b,c) - E(a,c) - E(b,a)
+        chunk = flat[start : start + step]
+        # margin[p, t] = E(a,a) + E(b,c) - E(a,c) - E(b,a) for triple t
         margin = (
-            diag[:, :, None, None]
-            + chunk[:, None, :, :]
-            - chunk[:, :, None, :]
-            - np.swapaxes(chunk, 1, 2)[:, :, :, None]
+            chunk.take(a * q + a, axis=1)
+            + chunk.take(b * q + c, axis=1)
+            - chunk.take(a * q + c, axis=1)
+            - chunk.take(b * q + a, axis=1)
         )
         bad = np.argwhere(margin > tol)
         if len(bad):
-            p, a, b, c = (int(v) for v in bad[0])
+            p, t = (int(v) for v in bad[0])
             p += start
-            return False, (int(energy.pair_i[p]), int(energy.pair_j[p]), a + 1, b + 1, c + 1)
+            labels = (int(a[t]) + 1, int(b[t]) + 1, int(c[t]) + 1)
+            return False, (int(energy.pair_i[p]), int(energy.pair_j[p]), *labels)
     return True, None
 
 

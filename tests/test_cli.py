@@ -258,6 +258,21 @@ class TestLengthScaleRange:
         assert not (tmp_path / "out.csv").exists()
 
 
+class TestKernelOverflow:
+    def test_exp_length_scale_whose_divide_overflows_runs_without_warning(self, tmp_path,
+                                                                         capsys):
+        # every distance over 1e-320 overflows to -inf, whose exp is exactly 0
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        out = tmp_path / "out.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "coxcut", "ssl", "--data", data, "--kernel", "exp",
+             "--lengthscale", "1e-320", "--out", str(out)],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert res.returncode == 0 and res.stderr == ""
+        assert load_csv(out).labeled_mask.all()
+
+
 def _module_env():
     """Environment for ``python -m coxcut`` that imports this checkout's sources."""
     src = str(Path(coxcut.__file__).resolve().parents[1])
@@ -391,6 +406,18 @@ class TestExitCodes:
         code = run(["fit", "--train", "/nonexistent.csv"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_memory_error_is_one_line_naming_the_command(self, tmp_path, capsys, monkeypatch):
+        from coxcut import cli
+
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "_cmd_gen", exhausted)
+        code, out, err = _run(capsys, "gen", "--shape", "circles", "--out",
+                              str(tmp_path / "d.csv"))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["coxcut: error: gen ran out of memory"]
 
     def test_console_entry_point(self):
         res = subprocess.run(["coxcut", "--help"], capture_output=True, text=True)

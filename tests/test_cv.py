@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _reference_grid import default_lengthscale_grid_reference
 from _reference_loo import loo_cv_reference
 
 from coxcut import (
@@ -198,3 +199,23 @@ class TestDefaultGrid:
         med = np.median(d[np.triu_indices(50, 1)])
         assert grid[0] == pytest.approx(0.01 * med, rel=1e-9)
         assert grid[-1] == pytest.approx(100 * med, rel=1e-9)
+
+    # 3 and 4 points give odd and even pair counts (3 and 6); 2100 > 2048 is subsampled
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 301, 2100])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bit_identical_to_full_matrix_median(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        x = rng.normal(0, 2, (n, dim))
+        x[: n // 3] = x[rng.integers(0, n, n // 3)]  # zero distances between duplicates
+        for seed in (0, 1):
+            assert np.array_equal(
+                default_lengthscale_grid(x, seed=seed),
+                default_lengthscale_grid_reference(x, seed=seed),
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_all_distances_zero_fall_back_to_unit_median(self, n):
+        x = np.full((n, 2), 0.3)
+        grid = default_lengthscale_grid(x)
+        assert np.array_equal(grid, default_lengthscale_grid_reference(x))
+        assert grid[0] == pytest.approx(0.01) and grid[-1] == pytest.approx(100.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coxcut import Kernel
+from coxcut.kernels import _CHUNK, _EXP_ZERO, _SUM_TILE, _SYM_BLOCK, sym_sq_dists
 
 
 def test_se_at_zero_is_signal_variance():
@@ -157,3 +158,104 @@ def test_in_place_evaluation_is_bit_identical_to_closed_form(family):
     assert np.array_equal(k.gram(a), _closed_form(k, d2_sym))
     s = a[0] - a[1]
     assert k.eval(s) == _closed_form(k, np.sum(s * s))
+
+
+def _same_bits(x, y):
+    # bit for bit, except that a NaN's sign may differ with how it was negated
+    x, y = np.asarray(x), np.asarray(y)
+    nan = np.isnan(x)
+    return (
+        x.shape == y.shape
+        and np.array_equal(nan, np.isnan(y))
+        and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64))
+    )
+
+
+def test_exp_is_exactly_zero_at_and_below_the_shortcut_threshold():
+    below = np.r_[np.linspace(-800.0, _EXP_ZERO, 10001), -1e300, -np.inf]
+    assert np.all(np.exp(below).view(np.uint64) == 0)  # +0.0, not a subnormal
+    assert np.exp(np.nextafter(-745.0, 0.0)) > 0  # the threshold leaves a margin
+
+
+@pytest.mark.parametrize("family", ["se", "exp"])
+@pytest.mark.parametrize("size", [1, 1000, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 5])
+def test_from_sqdist_matches_one_np_exp_bit_for_bit(family, size):
+    # exponents swept over [-800, 0], dense in the [-750, -700] band where
+    # np.exp turns subnormal, shuffled so every chunk mixes slow and fast entries
+    rng = np.random.default_rng(size)
+    arg = np.r_[
+        np.linspace(-800.0, 0.0, 40_001), np.linspace(-750.0, -700.0, 40_001), -np.inf, np.nan
+    ]
+    arg = rng.permutation(arg)[:size]
+    arg[: size // 4] = rng.choice(arg, size // 4)  # runs of slow chunks as well
+    if family == "se":
+        k, d2 = Kernel("se", 0.7, 0.5), arg / -2.0  # exponent d2 / -0.5 == arg exactly
+        expected = 0.7 * np.exp(d2 / -0.5)
+    else:
+        k, d2 = Kernel("exp", 0.7, 1.0), arg * arg
+        expected = 0.7 * np.exp(np.sqrt(d2) / -1.0)
+    d2 = d2.reshape(-1, 1) if size % 2 else d2
+    assert _same_bits(k._from_sqdist(d2), expected.reshape(d2.shape))
+    assert _same_bits(k._from_sqdist(d2), _closed_form(k, d2))
+
+
+@pytest.mark.parametrize("family", ["se", "exp"])
+def test_from_sqdist_of_non_contiguous_input(family):
+    rng = np.random.default_rng(4)
+    k = Kernel(family, 1.3, 0.05)  # small enough that some chunks take the shortcut
+    d2 = rng.uniform(0.0, 40.0, (300, 257))
+    for view in (d2.T, d2[:, ::3], d2[::2, 1:]):
+        assert _same_bits(k._from_sqdist(view), _closed_form(k, view))
+        out = np.empty(view.shape)
+        assert k._from_sqdist(view, out=out) is out
+        assert _same_bits(out, _closed_form(k, view))
+    with pytest.raises(ValueError, match="contiguous"):
+        k._from_sqdist(d2, out=np.empty((257, 300)).T)
+
+
+@pytest.mark.parametrize("length_scale", [1e-150, 1e-160])
+def test_se_divide_overflow_evaluates_to_zero_without_warning(length_scale):
+    # 1e10 / (2 * 1e-300) overflows to -inf, whose exp is exactly 0
+    k = Kernel("se", 1.0, length_scale)
+    assert k.cross([[0.0]], [[1e5]])[0, 0] == 0.0
+    assert np.array_equal(k.gram([[0.0], [1e5]]), np.eye(2))
+
+
+@pytest.mark.parametrize("length_scale", [1e-320, 5e-324])
+def test_exp_divide_overflow_evaluates_to_zero_without_warning(length_scale):
+    k = Kernel("exp", 2.0, length_scale)
+    assert k.cross([[0.0]], [[1.0]])[0, 0] == 0.0
+    assert np.array_equal(k.row_sums([[0.0], [1.0]], [[1.0], [3.0]]), [0.0, 2.0])
+    assert k.eval([0.0, 0.0]) == 2.0
+
+
+@pytest.mark.parametrize("family", ["se", "exp"])
+@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("cols", [1, _SUM_TILE - 1, _SUM_TILE, 2 * _SUM_TILE + 81])
+def test_row_sums_tiles_are_bit_identical(family, rows, cols):
+    # a partial last tile must be summed from a contiguous buffer, not a column slice
+    rng = np.random.default_rng(rows * cols)
+    k = Kernel(family, 0.9, 0.2)
+    a = rng.normal(0, 2, (rows, 3))
+    b = rng.normal(0, 2, (cols, 3))
+    d2 = np.maximum(
+        np.sum(a * a, 1)[:, None] + np.sum(b * b, 1)[None, :] - 2.0 * (a @ b.T), 0.0
+    )
+    expected = np.zeros(rows)
+    for s in range(0, cols, _SUM_TILE):
+        expected += _closed_form(k, d2[:, s : s + _SUM_TILE]).sum(axis=1)
+    assert _same_bits(k.row_sums(a, b), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, _SYM_BLOCK, _SYM_BLOCK + 1, 2 * _SYM_BLOCK + 45])
+def test_sym_sq_dists_blocks_match_full_transposed_add(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0, 3, (n, 2))
+    x[: n // 4] = x[rng.integers(0, n, n // 4)]
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    expected = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(expected, 0.0)
+    got = sym_sq_dists(x)
+    assert _same_bits(got, expected)
+    assert np.array_equal(got, got.T)

@@ -332,7 +332,7 @@ class TestRepresentability:
         assert peak < 64e6
 
     def test_first_violation_in_a_later_chunk_is_reported(self, monkeypatch):
-        q, num_pairs = 8, 20_000  # chunks of 2048 pairs at the default size
+        q, num_pairs = 8, 20_000  # chunks of 2674 pairs at the default size
         energy = self._potts_chain(q, num_pairs, 8)
         for p, (b, c) in [(19_000, (1, 4)), (15_000, (2, 5))]:
             energy.tables[p, b, c] = 5.0
@@ -346,6 +346,60 @@ class TestRepresentability:
         for elements in (1, q**3 * num_pairs):  # one pair per chunk; one chunk
             monkeypatch.setattr(mrf, "_MARGIN_ELEMENTS", elements)
             assert check_pairwise_representable(energy) == (False, want)
+
+
+    @staticmethod
+    def _first_violation(energy, tol=1e-9):
+        """Every triple of every pair in (pair, a, b, c) order, one at a time."""
+        q = energy.num_labels
+        for p, t in enumerate(energy.tables):
+            for a in range(q):
+                for b in range(q):
+                    for c in range(q):
+                        if t[a, a] + t[b, c] - t[a, c] - t[b, a] > tol:
+                            return energy.pair_i[p], energy.pair_j[p], a + 1, b + 1, c + 1
+        return None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_large_modular_plus_potts_tables_pass(self, q, scale):
+        # f(a) + g(b) - w delta(a, b) with w >= 0 is representable at every scale;
+        # the trivial triples (a == b or a == c) once rounded above the tolerance
+        rng = np.random.default_rng(q)
+        num_pairs = 2000
+        f, g = rng.normal(0, 1, (2, num_pairs, q))
+        w = rng.uniform(0, 1, num_pairs)
+        tables = (f[:, :, None] + g[:, None, :] - w[:, None, None] * np.eye(q)) * scale
+        sites = np.arange(num_pairs + 1)
+        energy = EnergyGraph(np.zeros((num_pairs + 1, q)), sites[:-1], sites[1:], tables)
+        assert check_pairwise_representable(energy) == (True, None)
+
+    def test_true_violations_keep_their_first_witness(self):
+        rng = np.random.default_rng(9)
+        found = 0
+        for _ in range(300):
+            q = int(rng.integers(2, 6))
+            num_pairs = int(rng.integers(1, 8))
+            tables = rng.normal(0, 1, (num_pairs, q, q)) * 10.0 ** rng.integers(-2, 3)
+            if rng.random() < 0.5:  # Potts tables with one perturbed entry
+                tables = -rng.uniform(0, 1, (num_pairs, 1, 1)) * np.eye(q)
+                tables[rng.integers(num_pairs), rng.integers(q), rng.integers(q)] += rng.normal()
+            sites = np.arange(num_pairs + 1)
+            energy = EnergyGraph(np.zeros((num_pairs + 1, q)), sites[:-1], sites[1:], tables)
+            want = self._first_violation(energy)
+            found += want is not None
+            got = check_pairwise_representable(energy)
+            assert got == ((True, None) if want is None else (False, want))
+        assert found > 100
+
+    def test_tolerance_is_absolute(self):
+        # margins of 2**-29 (above 1e-9) and 2**-30 (below) are exact in binary
+        for margin, ok in [(2.0**-29, False), (2.0**-30, True)]:
+            for scale in (1.0, 2.0**20):
+                table = np.array([[scale, scale], [scale, scale + margin]])
+                energy = _hand_energy(np.zeros((2, 2)), pairs=[(0, 1, table)])
+                assert check_pairwise_representable(energy)[0] is ok
+        assert mrf.REPRESENTABILITY_TOL == 1e-9
 
 
 class TestBruteForce:
