@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -43,11 +44,31 @@ def _kernel_from(args) -> Kernel:
     return Kernel(args.kernel, args.variance, args.lengthscale)
 
 
-def _models_from(args, num_classes: int):
+def _models_from(args, num_classes: int, num_points: int):
+    """Class models from --means and the kernel flags, for data of ``num_points`` rows.
+
+    With N rows, means of magnitude at most M and variance v, every
+    activation and energy term, the energy of any labeling and the
+    difference of any two of these lie within 2 (N + 1) (M + (N + 1) v).
+    Flags that let this bound overflow float64 are refused here, before
+    any kernel is evaluated, and the flag that does so is named.
+    """
     means = None
     if getattr(args, "means", None):
         means = [float(v) for v in args.means.split(",")]
-    return shared_models(num_classes, _kernel_from(args), means)
+    models = shared_models(num_classes, _kernel_from(args), means)
+    n = num_points + 1.0
+    m = max(abs(c.mean) for c in models)
+    v = models[0].kernel.signal_variance
+    # the means alone, then with the variance, so the refusal names the flag that overflows
+    checks = (("--means", m, 2.0 * n * m), ("--variance", v, 2.0 * n * (m + n * v)))
+    for flag, value, bound in checks:
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"{flag} value {value!r} is too large for {num_points} points: "
+                "energies and probabilities would overflow"
+            )
+    return models
 
 
 def _floats(text: str) -> list[float]:
@@ -134,11 +155,11 @@ def _cmd_predict(args) -> int:
     x_test = load_covariates(args.test, args.label_column)
     if not len(x_test):
         raise ValueError(f"{args.test}: no test points")
-    models = _models_from(args, train.num_classes)
+    models = _models_from(args, train.num_classes, train.n)
     probs = predict_proba_batch(models, train, x_test)
     labels = predict_labels(probs)
     header = [f"prob_{i + 1}" for i in range(train.num_classes)] + ["label"]
-    rows = [[_r(v) for v in p] + [str(int(lab))] for p, lab in zip(probs, labels)]
+    rows = [[*map(repr, p), str(lab)] for p, lab in zip(probs.tolist(), labels.tolist())]
     _write_rows(args.out, header, rows)
     return 0
 
@@ -149,7 +170,7 @@ def _cmd_ssl(args) -> int:
     if not unlabeled_mask.any():
         raise ValueError(f"{args.data} has no unlabeled rows to solve for")
     labeled = Dataset(ds.covariates[~unlabeled_mask], ds.labels[~unlabeled_mask], ds.num_classes)
-    models = _models_from(args, ds.num_classes)
+    models = _models_from(args, ds.num_classes, ds.n)
     solved = ssl_solve(models, labeled, ds.covariates[unlabeled_mask])
     full = ds.labels.copy()
     full[unlabeled_mask] = solved
@@ -242,7 +263,7 @@ def _cmd_energy(args) -> int:
     if len(unlabeled) == 0:
         raise ValueError(f"{args.data} has no unlabeled rows")
     labeled = Dataset(*ds.labeled(), ds.num_classes)
-    energy = build_energy(_models_from(args, ds.num_classes), labeled, unlabeled)
+    energy = build_energy(_models_from(args, ds.num_classes, ds.n), labeled, unlabeled)
     payload = {
         "num_sites": energy.num_sites,
         "num_labels": energy.num_labels,

@@ -72,57 +72,52 @@ class Dataset:
         return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), num_classes)
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header cells and (line number, cells) data rows of a CSV file.
+def _read_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header cells, data rows and each data row's line number in a CSV file.
 
     Blank lines and lines starting with '#' are skipped before CSV parsing,
     so a comment may hold any text; every data row must have as many cells
-    as the header. Line numbers count every line of the file.
+    as the header. Line numbers count every line of the file; a row whose
+    quoted cell spans lines gets the number of its last line.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise ValueError(f"cannot open dataset file {path}: {e}") from e
     with fh:
-        kept = []  # file line number of each line handed to the CSV reader
-
-        def content_lines():
-            for line_no, line in enumerate(fh, 1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    kept.append(line_no)
-                    yield line
-
-        rows = []
-        header = None
-        for raw in csv.reader(content_lines()):
-            line_no = kept[-1]
-            if header is None:
-                header = [c.strip() for c in raw]
-            elif len(raw) != len(header):
-                raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(raw)}")
-            else:
-                rows.append((line_no, raw))
+        lines = fh.readlines()
+    kept = [(no, line) for no, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#")]
+    reader = csv.reader([line for _, line in kept])
+    header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file, expected a header row")
-    return header, rows
+    header = [c.strip() for c in header]
+    rows, line_nos = [], []
+    for raw in reader:
+        line_no = kept[reader.line_num - 1][0]  # line_num counts the lines read so far
+        if len(raw) != len(header):
+            raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(raw)}")
+        rows.append(raw)
+        line_nos.append(line_no)
+    return header, rows, line_nos
 
 
-def _covariate_matrix(path, header, rows, cols) -> np.ndarray:
+def _covariate_matrix(path, header, rows, line_nos, cols) -> np.ndarray:
     """Parse columns ``cols`` of every row as finite floats."""
-    covs = np.empty((len(rows), len(cols)))
-    for r, (line_no, raw) in enumerate(rows):
-        for c, i in enumerate(cols):
-            try:
-                covs[r, c] = float(raw[i])
-            except ValueError:
-                raise ValueError(
-                    f"{path} row {line_no}: non-numeric covariate {raw[i]!r} "
-                    f"in column {header[i]!r}"
-                ) from None
+    values = []
+    try:
+        values.extend(map(float, [raw[i] for raw in rows for i in cols]))
+    except ValueError:
+        r, c = divmod(len(values), len(cols))  # the cell that float() refused
+        i = cols[c]
+        raise ValueError(
+            f"{path} row {line_nos[r]}: non-numeric covariate {rows[r][i]!r} "
+            f"in column {header[i]!r}"
+        ) from None
+    covs = np.array(values, dtype=np.float64).reshape(len(rows), len(cols))
     if not np.all(np.isfinite(covs)):
         bad = int(np.argwhere(~np.isfinite(covs))[0][0])
-        raise ValueError(f"{path} row {rows[bad][0]}: non-finite covariate value")
+        raise ValueError(f"{path} row {line_nos[bad]}: non-finite covariate value")
     return covs
 
 
@@ -133,12 +128,12 @@ def load_covariates(path, label_column: str = "label") -> np.ndarray:
     are those ``load_csv`` would read. A file with a header and no data rows
     gives a (0, D) matrix.
     """
-    header, rows = _read_rows(path)
+    header, rows, line_nos = _read_rows(path)
     lbl_idx = header.index(label_column) if label_column in header else None
     cols = [i for i in range(len(header)) if i != lbl_idx]
     if not cols:
         raise ValueError(f"{path}: no covariate columns")
-    return _covariate_matrix(path, header, rows, cols)
+    return _covariate_matrix(path, header, rows, line_nos, cols)
 
 
 def load_csv(path, label_column: str = "label", num_classes: int | None = None) -> Dataset:
@@ -148,18 +143,19 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
     with '#' are skipped. Unless overridden, the class count is the largest
     observed label.
     """
-    header, rows = _read_rows(path)
+    header, rows, line_nos = _read_rows(path)
     if label_column not in header:
         raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
     lbl_idx = header.index(label_column)
     cov_idx = [i for i in range(len(header)) if i != lbl_idx]
     if not cov_idx:
         raise ValueError(f"{path}: no covariate columns besides {label_column!r}")
-    covs = _covariate_matrix(path, header, rows, cov_idx)
+    covs = _covariate_matrix(path, header, rows, line_nos, cov_idx)
 
-    labels = np.zeros(len(rows), dtype=np.int64)
-    for r, (line_no, raw) in enumerate(rows):
+    labels = []
+    for line_no, raw in zip(line_nos, rows):
         cell = raw[lbl_idx].strip()
+        lab = 0
         if cell:
             try:
                 lab = int(cell)
@@ -167,7 +163,8 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
                 raise ValueError(f"{path} row {line_no}: label {cell!r} is not an integer") from None
             if lab < 1:
                 raise ValueError(f"{path} row {line_no}: label {lab} outside {{1..Q}}")
-            labels[r] = lab
+        labels.append(lab)
+    labels = np.array(labels, dtype=np.int64)
 
     observed = int(labels.max()) if labels.size else 0
     q = num_classes if num_classes is not None else observed
@@ -178,7 +175,7 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
         )
     if observed > q:
         r = int(np.argmax(labels > q))
-        raise ValueError(f"{path} row {rows[r][0]}: label {labels[r]} outside {{1..{q}}}")
+        raise ValueError(f"{path} row {line_nos[r]}: label {labels[r]} outside {{1..{q}}}")
     return Dataset(covs, labels, q)
 
 
@@ -198,9 +195,11 @@ def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
         fh.write(preamble)
         w = csv.writer(fh)
         w.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["label"])
-        for row, lab in zip(dataset.covariates, dataset.labels):
-            # repr() of a Python float is the shortest exact round-trip form
-            w.writerow([repr(float(v)) for v in row] + [str(int(lab)) if lab else ""])
+        # repr() of a Python float is the shortest exact round-trip form
+        w.writerows(
+            [*map(repr, row), str(lab) if lab else ""]
+            for row, lab in zip(dataset.covariates.tolist(), dataset.labels.tolist())
+        )
 
 
 def _check_class_size(n_per_class: int) -> None:

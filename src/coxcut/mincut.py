@@ -122,14 +122,29 @@ class QuantizationRecord:
     bits: int
 
 
-def _greedy_fill(want, group, budget):
-    # Entry k gets min(want[k], what is left of budget[group[k]] after the
-    # entries before it in its group), in stable order. Returns the
-    # allotments and their total per node; exact in int64 while the wants
-    # sum to less than 2**63.
-    order = np.argsort(group, kind="stable")
-    w, g = want[order], group[order]
-    first = np.flatnonzero(np.diff(g, prepend=-1))  # node ids are >= 0
+def _stable_order(keys, bound):
+    # np.argsort(keys, kind="stable") for integer keys in [0, bound). The
+    # keys are sorted as the smallest unsigned type that holds them, for
+    # which numpy's stable sort is a radix sort up to 16 bits (timsort
+    # otherwise); a stable order is unique, so the permutation is the same.
+    return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
+
+
+def _grouping(group, bound):
+    # Stable order of node ids ``group`` (all < bound), the sorted ids and
+    # the start of each run of equal ids among them.
+    order = _stable_order(group, bound)
+    g = group[order]
+    return order, g, np.flatnonzero(np.diff(g, prepend=-1))  # node ids are >= 0
+
+
+def _greedy_fill(want, grouping, budget):
+    # Entry k gets min(want[k], what is left of its node's budget after the
+    # entries before it in its group), in the stable order of ``grouping``
+    # (from _grouping). Returns the allotments and their total per node;
+    # exact in int64 while the wants sum to less than 2**63.
+    order, g, first = grouping
+    w = want[order]
     before = np.cumsum(w) - w
     before -= np.repeat(before[first], np.diff(first, append=len(g)))
     got = np.clip(budget[g] - before, 0, w)
@@ -170,11 +185,12 @@ def _push_three_arc_paths(network: FlowNetwork) -> int:
     np.add.at(supply, to[src], room(src))  # int64: np.bincount would sum in float64
     np.add.at(demand, tails[snk], room(snk))
     mid = np.flatnonzero(live & from_inner & to_inner & (supply[tails] > 0) & (demand[to] > 0))
-    f, _ = _greedy_fill(room(mid), tails[mid], supply)
-    f, into = _greedy_fill(f, to[mid], demand)
-    _, out = _greedy_fill(f, tails[mid], supply)  # f fits every supply: only sums by tail
-    from_source, _ = _greedy_fill(room(src), to[src], out)
-    to_sink, _ = _greedy_fill(room(snk), tails[snk], into)
+    by_tail = _grouping(tails[mid], n)
+    f, _ = _greedy_fill(room(mid), by_tail, supply)
+    f, into = _greedy_fill(f, _grouping(to[mid], n), demand)
+    _, out = _greedy_fill(f, by_tail, supply)  # f fits every supply: only sums by tail
+    from_source, _ = _greedy_fill(room(src), _grouping(to[src], n), out)
+    to_sink, _ = _greedy_fill(room(snk), _grouping(tails[snk], n), into)
     arcs = np.concatenate([mid, src, snk])
     flow = np.concatenate([f, from_source, to_sink])
     cap[arcs] -= flow
@@ -295,7 +311,7 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     _check_pair_sums(network)
     pushed = _push_three_arc_paths(network)
     tails = network.arc_to[np.arange(m) ^ 1]
-    order = np.argsort(tails, kind="stable")  # CSR slot -> arc
+    order = _stable_order(tails, n)  # CSR slot -> arc
     slot = np.empty(m, dtype=np.int64)
     slot[order] = np.arange(m)  # arc -> CSR slot
     bounds = np.zeros(n + 1, dtype=np.int64)

@@ -200,14 +200,27 @@ def check_pairwise_representable(
     margin is 0 exactly, while evaluating it could round above ``tol``. Pairs
     are checked in chunks whose margin arrays hold about _MARGIN_ELEMENTS
     entries each.
+
+    Tables with every off-diagonal entry exactly 0 and no diagonal entry
+    above 0 (the Potts tables of ``build_energy``) pass without the scan
+    when ``tol >= 0``: each of their margins is E(a,a) + E(b,c) <= 0. The
+    test counts entries in place and copies no table.
     """
+    tables = energy.tables
+    diagonal = np.diagonal(tables, axis1=1, axis2=2)  # a view, shape (P, Q)
+    if (
+        tol >= 0
+        and np.count_nonzero(tables) == np.count_nonzero(diagonal)
+        and (diagonal <= 0).all()  # False for NaN
+    ):
+        return True, None
     q = energy.num_labels
     a, b, c = np.indices((q, q, q)).reshape(3, -1)
     keep = (a != b) & (a != c)
     a, b, c = a[keep], b[keep], c[keep]
     if not len(a):
         return True, None
-    flat = energy.tables.reshape(energy.num_pairs, q * q)
+    flat = tables.reshape(energy.num_pairs, q * q)
     step = max(1, _MARGIN_ELEMENTS // len(a))
     for start in range(0, energy.num_pairs, step):
         chunk = flat[start : start + step]

@@ -302,6 +302,51 @@ class TestNonFiniteMeans:
         assert not (tmp_path / "out").exists()
 
 
+class TestOverflowingMagnitudes:
+    """Means and variances whose energies or probabilities could overflow float64."""
+
+    @staticmethod
+    def _argv(command, data, out):
+        return {
+            "ssl": ["ssl", "--data", data, "--out", out],
+            "predict": ["predict", "--train", data, "--test", data, "--out", out],
+            "energy": ["energy", "--data", data, "--dump", out],
+        }[command] + ["--lengthscale", "0.3"]
+
+    @pytest.mark.parametrize(("flags", "refused"), [
+        (["--variance", "1e308"], "--variance value 1e+308"),
+        (["--means", "1e308,-1e308"], "--means value 1e+308"),
+        # the means alone fit (2 * 61 * 1e306 < 1.8e308); with the variance they do not
+        (["--means", "1e306,0", "--variance", "1e305"], "--variance value 1e+305"),
+    ])
+    @pytest.mark.parametrize("command", ["ssl", "predict", "energy"])
+    def test_refused_with_one_line_naming_the_flag(self, tmp_path, capsys, command, flags,
+                                                   refused):
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        argv = self._argv(command, data, str(tmp_path / "out")) + flags
+        # a separate process, so that a warning printed on the way fails the test
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"coxcut: error: {refused} is too large for 60 points: "
+            "energies and probabilities would overflow"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ssl", "predict", "energy"])
+    def test_large_values_inside_the_bound_run_cleanly(self, tmp_path, capsys, command):
+        # 2 * 61 * (1e300 + 61 * 1e300) is about 7.6e303: finite, so these run
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        out = tmp_path / "out"
+        argv = self._argv(command, data, str(out)) + ["--means", "1e300,-1e300",
+                                                      "--variance", "1e300"]
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert "nan" not in out.read_text().lower()
+
+
 class TestFit:
     def test_loo_table_and_best(self, tmp_path, capsys):
         data = _gen_circles(tmp_path, capsys)

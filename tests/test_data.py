@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _reference_csv import load_covariates_reference, load_csv_reference
 from coxcut import (
     Dataset,
     gen_concentric_circles,
@@ -145,6 +146,71 @@ class TestCsvProperties:
             expected = load_csv(path, num_classes=ds.num_classes).covariates
         assert x.shape == expected.shape
         assert x.tobytes() == expected.tobytes()
+
+
+def _outcome(load, path, **kw):
+    """What a loader gives: its arrays, or the type and message of what it raised."""
+    try:
+        got = load(path, **kw)
+    except Exception as e:  # the readers must agree on every failure, not only ValueError
+        return type(e), str(e)
+    if isinstance(got, Dataset):
+        return got.covariates.tobytes(), got.covariates.shape, got.labels.tolist(), got.num_classes
+    return got.tobytes(), got.shape, got.dtype
+
+
+# Each file below is read by load_csv (with and without a class-count
+# override) and load_covariates and by the cell-by-cell reference reader;
+# the arrays, or the exact messages of the first error, must agree.
+_READER_CASES = {
+    "plain": "x1,x2,label\n0.5,1e-3,1\n2,3,\n-4,5,2\n",
+    "comments and blanks": "# c,\"q\n\nx1,label\n\n1,1\n# mid\n2,2\n  \n3,\n",
+    "crlf": "x1,x2,label\r\n1,2,1\r\n3,4,2\r\n",
+    "lone cr": "x1,label\r1,1\r2,2\r",
+    "padded cells": " x1 , label \n 1.5 , 2 \n3, 1\n",
+    "quoted covariate over two lines": 'x1,x2,label\n1,2,1\n"3\n4",5,2\n',
+    "quoted label over two lines, then a bad label": 'x1,label\n1,"1\n"\n2,2\n3,x\n',
+    "quoted cell around a skipped blank line": 'x1,label\n"1\n\n2",1\n',
+    "quoted header over two lines": '"x\n1",label\n1,1\n# c\nbad,2\n',
+    "non-numeric in a middle column": "x1,x2,x3,label\n1,2,3,1\n4,five,6,2\n",
+    "covariate error after a label error": "x1,label\n1,abc\nzz,2\n",
+    "non-finite after a label error": "x1,label\n1,0\nnan,2\n",
+    "non-finite": "x1,label\n1,1\ninf,2\n",
+    "label below one": "x1,label\n1,1\n2,-3\n",
+    "non-integer label": "x1,label\n1,1\n2,1.5\n",
+    "label above the override": "x1,label\n1,1\n2,3\n",
+    "one observed class": "x1,label\n1,1\n2,1\n",
+    "label too large for int64": "x1,label\n1,1\n2,99999999999999999999999\n",
+    "short row": "x1,x2,label\n1,2,1\n3,2\n",
+    "empty": "",
+    "comments only": "# a\n\n",
+    "header only": "x1,x2,label\n",
+    "no label column": "x1,x2\n1,2\n",
+    "label column only": "label\n1\n",
+}
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("text", _READER_CASES.values(), ids=_READER_CASES.keys())
+    def test_arrays_and_error_messages(self, tmp_path, text):
+        p = tmp_path / "data.csv"
+        p.write_bytes(text.encode())
+        for kw in ({}, {"num_classes": 2}):
+            assert _outcome(load_csv, p, **kw) == _outcome(load_csv_reference, p, **kw)
+        assert _outcome(load_covariates, p) == _outcome(load_covariates_reference, p)
+
+    def test_missing_file(self, tmp_path):
+        p = tmp_path / "absent.csv"
+        assert _outcome(load_csv, p) == _outcome(load_csv_reference, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_datasets(), comments=_single_line_comments)
+    def test_saved_datasets(self, ds, comments):
+        with tempfile.TemporaryDirectory() as d:
+            path = _saved(ds, d, comments)
+            for load, reference in ((load_csv, load_csv_reference),
+                                    (load_covariates, load_covariates_reference)):
+                assert _outcome(load, path) == _outcome(reference, path)
 
 
 class TestLoadCovariates:

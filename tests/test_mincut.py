@@ -385,6 +385,42 @@ class TestPhaseLoop:
         assert _solve_and_check(caplog, limit)[0] == 1  # a sum of exactly 2**63 - 1 is fine
 
 
+class TestStableOrder:
+    """Grouping sorts on narrow unsigned keys, numpy's radix sort up to 16 bits."""
+
+    @pytest.mark.parametrize("bound", [1, 256, 65536, 65537, 2**20])
+    def test_equals_numpy_stable_argsort(self, bound):
+        rng = np.random.default_rng(bound)
+        # distinct and heavily repeated keys, the extremes included
+        keys = np.concatenate([
+            rng.integers(0, bound, 3000),
+            rng.choice([0, bound // 2, bound - 1], 3000),
+        ])
+        rng.shuffle(keys)
+        assert np.array_equal(mincut._stable_order(keys, bound), np.argsort(keys, kind="stable"))
+        empty = np.empty(0, dtype=np.int64)
+        assert len(mincut._stable_order(empty, bound)) == 0
+
+    def test_network_past_16_bit_node_ids(self, caplog):
+        # 66,002 nodes, most isolated: arcs among 3000 nodes spread over the
+        # ids, with tails and heads above 65535 and both terminals up there
+        rng = np.random.default_rng(31)
+        n = 66_002
+        s, t = n - 1, n - 2
+        active = np.concatenate([rng.choice(65_000, 2900, replace=False), np.arange(65_900, 66_000)])
+        feed = rng.choice(active, 1500, replace=False)
+        drain = rng.choice(active, 1500, replace=False)
+        u, v = rng.choice(active, (2, 6000))
+        tails = np.concatenate([np.full(1500, s), drain, u])
+        heads = np.concatenate([feed, np.full(1500, t), v])
+        caps = rng.integers(1, 50, len(tails))
+        rev_caps = rng.integers(0, 50, len(tails)) * (rng.random(len(tails)) < 0.5)
+        net = FlowNetwork.from_arrays(n, s, t, tails, heads, caps, rev_caps)
+        assert net.arc_to[1::2].max() > 65_535 and net.arc_to[0::2].max() > 65_535
+        phases, side = _solve_and_check(caplog, net)
+        assert phases >= 1 and 1 < side.sum() < n - 1
+
+
 class TestBuildFlowNetwork:
     def test_zero_energy_all_zero_capacities(self):
         energy = _energy(np.zeros((3, 2)), pairs=[(0, 1, np.zeros((2, 2)))])

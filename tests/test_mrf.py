@@ -321,15 +321,19 @@ class TestRepresentability:
         return EnergyGraph(np.zeros((num_pairs + 1, q)), sites[:-1], sites[1:], tables)
 
     def test_margin_memory_is_bounded_at_eight_labels(self):
-        energy = self._potts_chain(8, 20_000, 7)  # 10 MB of tables
-        tracemalloc.start()
-        try:
-            ok, witness = check_pairwise_representable(energy)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ok and witness is None
-        assert peak < 64e6
+        potts = self._potts_chain(8, 20_000, 7)  # 10 MB of tables
+        # the same tables shifted by 1 are still representable but go through the scan
+        shifted = EnergyGraph(potts.unary, potts.pair_i, potts.pair_j, potts.tables + 1.0)
+        # Potts tables pass on counts alone, without a copy of the tables
+        for energy, bound in ((potts, 1e6), (shifted, 64e6)):
+            tracemalloc.start()
+            try:
+                ok, witness = check_pairwise_representable(energy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ok and witness is None
+            assert peak < bound
 
     def test_first_violation_in_a_later_chunk_is_reported(self, monkeypatch):
         q, num_pairs = 8, 20_000  # chunks of 2674 pairs at the default size
@@ -350,12 +354,18 @@ class TestRepresentability:
 
     @staticmethod
     def _first_violation(energy, tol=1e-9):
-        """Every triple of every pair in (pair, a, b, c) order, one at a time."""
+        """Every triple of every pair in (pair, a, b, c) order, one at a time.
+
+        Triples with a == b or a == c are skipped: their margin is 0 by
+        definition, which exceeds a negative tolerance.
+        """
         q = energy.num_labels
         for p, t in enumerate(energy.tables):
             for a in range(q):
                 for b in range(q):
                     for c in range(q):
+                        if a in (b, c):
+                            continue
                         if t[a, a] + t[b, c] - t[a, c] - t[b, a] > tol:
                             return energy.pair_i[p], energy.pair_j[p], a + 1, b + 1, c + 1
         return None
@@ -391,6 +401,44 @@ class TestRepresentability:
             got = check_pairwise_representable(energy)
             assert got == ((True, None) if want is None else (False, want))
         assert found > 100
+
+    @staticmethod
+    def _shortcut_case(case):
+        """Potts tables with one change; pair 10 is all zero before it."""
+        energy = TestRepresentability._potts_chain(3, 40, 11)
+        t = energy.tables
+        t[10] = 0.0
+        if case == "tiny off-diagonal":
+            t[10, 0, 1] = 1e-300  # a margin of 1e-300: above a tolerance of 0
+        elif case == "positive diagonal":
+            t[10, 2, 2] = 0.25
+        elif case == "nan on the diagonal":
+            t[5, 1, 1] = np.nan
+        elif case == "nan off the diagonal":
+            t[5, 2, 0] = np.nan
+        elif case == "no pairs":
+            return EnergyGraph(energy.unary, [], [], np.empty((0, 3, 3)))
+        return energy
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-9])
+    @pytest.mark.parametrize("case", ["potts", "tiny off-diagonal", "positive diagonal",
+                                      "nan on the diagonal", "nan off the diagonal", "no pairs"])
+    def test_potts_shortcut_agrees_with_the_full_scan(self, case, tol):
+        energy = self._shortcut_case(case)
+        want = self._first_violation(energy, tol)
+        got = check_pairwise_representable(energy, tol)
+        assert got == ((True, None) if want is None else (False, want))
+
+    def test_shortcut_cases_include_violations(self):
+        # the cases above must reach both answers, or agreement would prove little
+        found = {
+            (case, tol): self._first_violation(self._shortcut_case(case), tol) is not None
+            for case in ("potts", "tiny off-diagonal", "positive diagonal")
+            for tol in (1e-9, 0.0, -1e-9)
+        }
+        assert not found["potts", 1e-9] and not found["potts", 0.0] and found["potts", -1e-9]
+        assert found["tiny off-diagonal", 0.0] and not found["tiny off-diagonal", 1e-9]
+        assert found["positive diagonal", 1e-9]
 
     def test_tolerance_is_absolute(self):
         # margins of 2**-29 (above 1e-9) and 2**-30 (below) are exact in binary
