@@ -18,33 +18,47 @@ from .kernels import Kernel, sym_sq_dists
 GRID_SIZE = 16
 GRID_SPAN = (0.01, 100.0)  # multiples of the median pairwise distance
 _MEDIAN_SUBSAMPLE = 2048
-# Largest leave-one-out set: at this size its two n x n float64 arrays take about 1 GB.
+# Largest leave-one-out set: at this size its n x n float64 matrix takes about 0.5 GB.
 MAX_LOO_POINTS = 8192
+_LOO_STRIP = 2**16  # elements per leave-one-out kernel strip (512 KB of float64)
 
 
 def default_lengthscale_grid(covariates, size: int = GRID_SIZE, seed: int = 0) -> np.ndarray:
-    """Log-spaced grid spanning GRID_SPAN times the median pairwise distance."""
+    """Log-spaced grid spanning GRID_SPAN times the median pairwise distance.
+
+    Above _MEDIAN_SUBSAMPLE points the median is taken over a random sample
+    of that many points.
+    """
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if len(x) > _MEDIAN_SUBSAMPLE:
         x = x[np.random.default_rng(seed).permutation(len(x))[:_MEDIAN_SUBSAMPLE]]
-    n = len(x)
-    sq = np.sum(x * x, axis=1)
-    g = 2 * x @ x.T
-    # the squared distances above the diagonal, row by row; sqrt is monotone,
-    # so the median distance is the mean of the middle order statistics' roots
-    d2 = np.empty(n * (n - 1) // 2)
+    return _grid_around(_median_distance(sym_sq_dists(x)), size)
+
+
+def _median_distance(d2: np.ndarray) -> float:
+    """Median of the distances above the diagonal of a squared-distance matrix.
+
+    The strict upper triangle is gathered row by row into one buffer and
+    partitioned in place; sqrt is monotone, so the median distance is the
+    mean of the roots of the middle order statistics.
+    """
+    n = len(d2)
+    buf = np.empty(n * (n - 1) // 2)
+    if not buf.size:
+        return 0.0
     pos = 0
     for i in range(n - 1):
-        row = d2[pos : pos + n - 1 - i]
-        np.add(sq[i], sq[i + 1 :], out=row)
-        np.subtract(row, g[i, i + 1 :], out=row)
+        buf[pos : pos + n - 1 - i] = d2[i, i + 1 :]
         pos += n - 1 - i
-    np.maximum(d2, 0.0, out=d2)
-    half = len(d2) // 2
-    mid = [half] if len(d2) % 2 else [half - 1, half]
-    med = float(np.mean(np.sqrt(np.partition(d2, mid)[mid]))) if len(d2) else 0.0
+    half = buf.size // 2
+    buf.partition(half)  # buf[:half] now holds the half smallest values
+    mid = [buf[half]] if buf.size % 2 else [buf[:half].max(), buf[half]]
+    return float(np.mean(np.sqrt(mid)))
+
+
+def _grid_around(med: float, size: int) -> np.ndarray:
     if not med > 0:
         med = 1.0
     return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, size)
@@ -74,10 +88,13 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
 
     The table has one (length_scale, error) row per grid value. Means are
     zero and the kernel is shared across classes, so only the length scale
-    matters for the decisions. Squared distances are computed once; each
-    grid value evaluates the kernel into one reused n x n buffer, so a call
-    holds two n x n float64 arrays and refuses more than MAX_LOO_POINTS
-    points before allocating either.
+    matters for the decisions. Squared distances are computed once, and the
+    one n x n float64 array of a call holds them; each grid value evaluates
+    the kernel in row strips of about _LOO_STRIP elements into one reused
+    buffer and sums each strip per class while it is in cache. More than
+    MAX_LOO_POINTS points are refused before anything is allocated. With
+    no grid given and at most _MEDIAN_SUBSAMPLE points, the default grid's
+    median is taken from the same distances.
 
     Each point's own class sum includes the self term C(0) from the
     diagonal, which is then subtracted. The round trip loses own-class
@@ -91,22 +108,33 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
         raise ValueError("leave-one-out needs at least two labeled points")
     if n > MAX_LOO_POINTS:
         raise ValueError(
-            f"leave-one-out on {n} points needs two {n}x{n} float64 matrices "
-            f"({2 * 8 * n * n / 1e9:.1f} GB); above {MAX_LOO_POINTS} points, "
+            f"leave-one-out on {n} points needs one {n}x{n} float64 matrix "
+            f"({8 * n * n / 1e9:.1f} GB); above {MAX_LOO_POINTS} points, "
             "subsample with --cv-subsample"
         )
+    d2 = None
     if grid is None:
-        grid = default_lengthscale_grid(x)
+        if n <= _MEDIAN_SUBSAMPLE:  # the median's sample is every point
+            d2 = sym_sq_dists(x)
+            grid = _grid_around(_median_distance(d2), GRID_SIZE)
+        else:
+            grid = default_lengthscale_grid(x)
     grid = _validated_grid(grid)
     kernels = _grid_kernels(kernel_family, grid)
+    if d2 is None:
+        d2 = sym_sq_dists(x)
     q = train.num_classes
     onehot = np.zeros((n, q))
     onehot[np.arange(n), y - 1] = 1.0
-    d2 = sym_sq_dists(x)
-    buf = np.empty_like(d2)
+    rows = max(1, _LOO_STRIP // n)
+    strip = np.empty((min(rows, n), n))
+    class_sums = np.empty((n, q))  # attraction of each point to each class
     errors = np.empty(len(grid))
     for gi, kern in enumerate(kernels):
-        class_sums = kern._from_sqdist(d2, out=buf) @ onehot  # (n, q): attraction per class
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            k = kern._from_sqdist(d2[start:stop], out=strip[: stop - start])
+            np.matmul(k, onehot, out=class_sums[start:stop])
         class_sums[np.arange(n), y - 1] -= kern.signal_variance  # drop self term
         pred = np.argmax(class_sums, axis=1) + 1
         errors[gi] = float(np.mean(pred != y))

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNLABELED = 0  # label value marking a row without a class
+_INT64_MAX = int(np.iinfo(np.int64).max)  # largest label the int64 label vector holds
 
 
 @dataclass
@@ -88,17 +89,22 @@ def _read_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
         lines = fh.readlines()
     kept = [(no, line) for no, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#")]
     reader = csv.reader([line for _, line in kept])
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file, expected a header row")
-    header = [c.strip() for c in header]
-    rows, line_nos = [], []
-    for raw in reader:
-        line_no = kept[reader.line_num - 1][0]  # line_num counts the lines read so far
-        if len(raw) != len(header):
-            raise ValueError(f"{path} row {line_no}: expected {len(header)} cells, got {len(raw)}")
-        rows.append(raw)
-        line_nos.append(line_no)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        header = [c.strip() for c in header]
+        rows, line_nos = [], []
+        for raw in reader:
+            line_no = kept[reader.line_num - 1][0]  # line_num counts the lines read so far
+            if len(raw) != len(header):
+                raise ValueError(
+                    f"{path} row {line_no}: expected {len(header)} cells, got {len(raw)}"
+                )
+            rows.append(raw)
+            line_nos.append(line_no)
+    except csv.Error as e:  # e.g. a cell over csv.field_size_limit() characters
+        raise ValueError(f"{path} row {kept[reader.line_num - 1][0]}: {e}") from None
     return header, rows, line_nos
 
 
@@ -161,7 +167,7 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
                 lab = int(cell)
             except ValueError:
                 raise ValueError(f"{path} row {line_no}: label {cell!r} is not an integer") from None
-            if lab < 1:
+            if not 1 <= lab <= _INT64_MAX:
                 raise ValueError(f"{path} row {line_no}: label {lab} outside {{1..Q}}")
         labels.append(lab)
     labels = np.array(labels, dtype=np.int64)

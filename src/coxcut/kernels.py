@@ -7,7 +7,8 @@ displacement) and satisfy 0 <= C(s) <= C(0) = signal_variance everywhere,
 which is what makes min-cut inference applicable downstream.
 
 Every matrix is evaluated in place, in chunks of about _CHUNK elements so
-that each chunk's divide, exp and scale stay in cache. np.exp leaves its
+that each chunk's divide, exp and scale stay in cache; at signal variance
+1.0 the scale is skipped, since x * 1.0 == x. np.exp leaves its
 vector path for arguments below about -708, where results are subnormal or
 underflow, and runs one to two orders of magnitude slower there. A chunk
 that reaches that range writes exactly 0 for the arguments at or below
@@ -130,7 +131,8 @@ class Kernel:
                     y[live] = vals
                 else:
                     np.exp(y, out=y)
-                np.multiply(y, self.signal_variance, out=y)
+                if self.signal_variance != 1.0:  # x * 1.0 == x for every float
+                    np.multiply(y, self.signal_variance, out=y)
         return out
 
     def cross(self, a, b) -> np.ndarray:

@@ -119,7 +119,9 @@ def sample_gp_field(mean: float, kernel: Kernel, window: Window, seed: int = 0) 
     chol = _cholesky_with_jitter(kernel.gram(centers), kernel.signal_variance)
     rng = np.random.default_rng(seed)
     f = mean + chol @ rng.standard_normal(len(centers))
-    return IntensityField(centers, np.exp(f), window.cell_widths)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which IntensityField refuses
+        intensity = np.exp(f)
+    return IntensityField(centers, intensity, window.cell_widths)
 
 
 def sample_poisson_points(field: IntensityField, seed: int = 0) -> np.ndarray:

@@ -1,16 +1,17 @@
-"""Reference default length-scale grid: the full distance matrix, then its median.
+"""Reference default length-scale grid: the median of every pairwise distance.
 
 This is the straightforward form of ``coxcut.cv.default_lengthscale_grid``:
-it takes the square root of every entry of the clamped n x n squared
-distance matrix and the median of its upper triangle from
-``np.triu_indices``. ``default_lengthscale_grid`` gathers the upper triangle
-row by row and takes roots of the middle order statistics only; tests
-require both to give bit-identical grids.
+it takes the square root of the whole strict upper triangle of
+``sym_sq_dists`` (picked with ``np.triu_indices``) and its ``np.median``.
+``default_lengthscale_grid`` gathers the triangle row by row, partitions it
+in place and takes roots of the middle order statistics only; tests require
+both to give bit-identical grids.
 """
 
 import numpy as np
 
 from coxcut.cv import _MEDIAN_SUBSAMPLE, GRID_SIZE, GRID_SPAN
+from coxcut.kernels import sym_sq_dists
 
 
 def default_lengthscale_grid_reference(covariates, size: int = GRID_SIZE, seed: int = 0):
@@ -19,9 +20,8 @@ def default_lengthscale_grid_reference(covariates, size: int = GRID_SIZE, seed: 
         x = x[:, None]
     if len(x) > _MEDIAN_SUBSAMPLE:
         x = x[np.random.default_rng(seed).permutation(len(x))[:_MEDIAN_SUBSAMPLE]]
-    d2 = np.sum(x * x, axis=1)
-    dists = np.sqrt(np.maximum(d2[:, None] + d2[None, :] - 2 * x @ x.T, 0.0))
-    med = float(np.median(dists[np.triu_indices(len(x), k=1)]))
+    m = len(x)
+    med = float(np.median(np.sqrt(sym_sq_dists(x)[np.triu_indices(m, 1)])))
     if not med > 0:
         med = 1.0
     return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, size)

@@ -104,6 +104,20 @@ class TestSimulate:
             prows = list(csv.reader(fh))
         assert prows[0] == ["x1", "x2"]
 
+    @pytest.mark.parametrize("flag", ["--variance", "--mean"])
+    def test_overflowing_field_is_one_line_error_without_warning(self, tmp_path, flag):
+        argv = ["simulate", "--window", "-1,-1,1,1", "--grid", "8", flag, "1e308",
+                "--out-field", str(tmp_path / "field.csv"),
+                "--out-points", str(tmp_path / "points.csv")]
+        # a separate process, so that a warning printed on the way fails the test
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "coxcut: error: intensities must be finite and non-negative"
+        ]
+        assert not (tmp_path / "field.csv").exists()
+
 
 class TestPredictEval:
     def test_predict_output_schema(self, tmp_path, capsys):
@@ -198,6 +212,21 @@ class TestSsl:
         )
         assert code == 0
         assert float(out.split()[0].split("=")[1]) <= 0.05
+
+    def test_cell_over_the_csv_field_limit_is_one_line_error(self, tmp_path):
+        data = tmp_path / "big.csv"
+        data.write_text("x1,label\n1,1\n2,2\n" + "1" * 200_000 + ",\n")
+        out = tmp_path / "out.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "coxcut", "ssl", "--data", str(data), "--lengthscale",
+             "0.5", "--out", str(out)],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"coxcut: error: {data} row 4: field larger than field limit (131072)"
+        ]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -97,14 +97,15 @@ def _single_class_grid(n):
 
 
 class TestLooMatchesReference:
-    """The distance-reusing loo_cv against one fresh gram per grid value."""
+    """The strip-wise loo_cv against one fresh gram per grid value."""
 
     @pytest.mark.parametrize("family", ["se", "exp"])
     @pytest.mark.parametrize(
         "make, n",
         [(_circles_auto, 600), (_helix_grid, 1500), (_duplicates_auto, 500),
-         (_single_class_grid, 800)],
-        ids=["circles-auto", "helix-grid", "duplicates-auto", "single-class"],
+         (_single_class_grid, 800), (_circles_auto, 2100)],
+        ids=["circles-auto", "helix-grid", "duplicates-auto", "single-class",
+             "circles-auto-subsampled-median"],
     )
     def test_tables_bit_identical(self, make, n, family):
         train, grid = make(n)
@@ -113,16 +114,25 @@ class TestLooMatchesReference:
         assert np.array_equal(table, ref_table)
         assert best == ref_best
 
-    def test_peak_memory_is_two_matrices(self):
-        n = 1500
-        train, grid = _helix_grid(n)
+    @staticmethod
+    def _peak_bytes(train, grid):
         tracemalloc.start()
         try:
             loo_cv(train, "se", grid)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
+
+    def test_peak_memory_is_one_matrix(self):
+        # the distances, one kernel strip and the per-class sums
+        n = 1500
+        assert self._peak_bytes(*_helix_grid(n)) <= 1.25 * n * n * 8
+
+    def test_peak_memory_with_auto_grid(self):
+        # plus the strict upper triangle of the same distances, for the median
+        n = 1500
+        train, _ = _helix_grid(n)
+        assert self._peak_bytes(train, None) <= 1.75 * n * n * 8
 
 
 class TestGridValidatedBeforeWork:
@@ -212,6 +222,27 @@ class TestDefaultGrid:
                 default_lengthscale_grid(x, seed=seed),
                 default_lengthscale_grid_reference(x, seed=seed),
             )
+
+    @staticmethod
+    def _orders(size, shuffles):
+        a = np.arange(size, dtype=np.float64)
+        yield from (a, a[::-1], np.r_[a[0::2], a[1::2][::-1]])  # sorted, reversed, organ pipe
+        for seed in range(shuffles):
+            yield np.random.default_rng(seed).permutation(a)
+
+    # 1081 and 1225 pairs are odd counts, 1128, 1176 and 19900 even; a selection
+    # that partitions one place off the middle leaves the middle out of order in
+    # some of these layouts
+    @pytest.mark.parametrize("m, shuffles", [(47, 0), (48, 200), (49, 200), (50, 0), (200, 0)])
+    def test_median_distance_of_every_triangle_layout(self, m, shuffles):
+        from coxcut.cv import _median_distance
+
+        upper = np.triu_indices(m, 1)
+        for vals in self._orders(len(upper[0]), shuffles):
+            d2 = np.zeros((m, m))
+            d2[upper] = vals
+            d2.T[upper] = vals
+            assert _median_distance(d2) == float(np.median(np.sqrt(vals)))
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_all_distances_zero_fall_back_to_unit_median(self, n):

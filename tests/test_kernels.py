@@ -199,6 +199,17 @@ def test_from_sqdist_matches_one_np_exp_bit_for_bit(family, size):
     assert _same_bits(k._from_sqdist(d2), _closed_form(k, d2))
 
 
+@pytest.mark.parametrize("variance", [1.0, 2.5])
+@pytest.mark.parametrize("family", ["se", "exp"])
+def test_from_sqdist_at_unit_and_other_variance_matches_closed_form(family, variance):
+    # at variance 1.0 the scaling pass is skipped, since x * 1.0 == x for every float
+    rng = np.random.default_rng(5)
+    k = Kernel(family, variance, 0.3)
+    d2 = np.r_[rng.uniform(0.0, 200.0, 3 * _CHUNK + 7), 0.0, np.inf]
+    assert _same_bits(k._from_sqdist(d2), _closed_form(k, d2))
+    assert _same_bits(k.gram(d2[:300, None]), _closed_form(k, sym_sq_dists(d2[:300, None])))
+
+
 @pytest.mark.parametrize("family", ["se", "exp"])
 def test_from_sqdist_of_non_contiguous_input(family):
     rng = np.random.default_rng(4)
