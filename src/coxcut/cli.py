@@ -279,15 +279,7 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxcut",
-        description="Point-process classification: supervised prediction and "
-        "min-cut semi-supervised labeling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", choices=["circles", "helix"], required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -302,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-out", default=None, help="also write the fully labeled dataset here")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("simulate", help="sample an intensity field and points from it")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", required=True, help="lower corner then upper corner, e.g. -3,-3,3,3")
     p.add_argument("--grid", type=int, default=64, help="cells per axis")
     _add_kernel_flags(p, lengthscale_required=False)
@@ -313,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-points", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="select a length scale by cross-validation")
+
+def _fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train", required=True)
     p.add_argument("--kernel", choices=["se", "exp"], default="se")
     p.add_argument("--grid", default="auto", help="'auto' or comma-separated length scales")
@@ -325,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="error table destination (default stdout)")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("predict", help="predictive probabilities for test points")
+
+def _predict_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     _add_kernel_flags(p)
@@ -334,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("ssl", help="fill in labels for the unlabeled rows of a dataset")
+
+def _ssl_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     _add_kernel_flags(p)
     p.add_argument("--means", default=None)
@@ -342,27 +338,61 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ssl)
 
-    p = sub.add_parser("eval", help="0-1 error of predicted labels against withheld truth")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--data", default=None, help="masked input; score only its unlabeled rows")
     p.add_argument("--label-column", default="label")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="prediction-time scaling against training size")
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", default=",".join(str(s) for s in BENCH_SIZES))
     p.add_argument("--test-points", type=int, default=256)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("energy", help="dump the label-field energy tables as JSON")
+
+def _energy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     _add_kernel_flags(p)
     p.add_argument("--means", default=None)
     p.add_argument("--label-column", default="label")
     p.add_argument("--dump", required=True)
     p.set_defaults(func=_cmd_energy)
+
+
+# name: (help line, function adding its arguments and handler), in help order
+_COMMANDS = {
+    "gen": ("generate a synthetic dataset CSV", _gen_args),
+    "simulate": ("sample an intensity field and points from it", _simulate_args),
+    "fit": ("select a length scale by cross-validation", _fit_args),
+    "predict": ("predictive probabilities for test points", _predict_args),
+    "ssl": ("fill in labels for the unlabeled rows of a dataset", _ssl_args),
+    "eval": ("0-1 error of predicted labels against withheld truth", _eval_args),
+    "bench": ("prediction-time scaling against training size", _bench_args),
+    "energy": ("dump the label-field energy tables as JSON", _energy_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command`` given, only that subcommand gets its arguments.
+
+    Every subcommand is registered with its help line either way, so the
+    top-level help and the unknown-command error read the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="coxcut",
+        description="Point-process classification: supervised prediction and "
+        "min-cut semi-supervised labeling.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_args(p)
     return parser
 
 
@@ -387,11 +417,11 @@ def _fold_negative_values(argv: list) -> list:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _fold_negative_values(list(sys.argv[1:] if argv is None else argv))
+    # arguments only for the invoked command; anything else gets the full parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(_fold_negative_values(list(argv)))
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -8,6 +8,8 @@ between grid values resolve toward the larger, smoother length scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .classify import shared_models
@@ -21,6 +23,7 @@ _MEDIAN_SUBSAMPLE = 2048
 # Largest leave-one-out set: at this size its n x n float64 matrix takes about 0.5 GB.
 MAX_LOO_POINTS = 8192
 _LOO_STRIP = 2**16  # elements per leave-one-out kernel strip (512 KB of float64)
+_MEDIAN_SAMPLE = 2**14  # matrix entries whose order statistics bracket the median
 
 
 def default_lengthscale_grid(covariates, size: int = GRID_SIZE, seed: int = 0) -> np.ndarray:
@@ -40,22 +43,107 @@ def default_lengthscale_grid(covariates, size: int = GRID_SIZE, seed: int = 0) -
 def _median_distance(d2: np.ndarray) -> float:
     """Median of the distances above the diagonal of a squared-distance matrix.
 
-    The strict upper triangle is gathered row by row into one buffer and
-    partitioned in place; sqrt is monotone, so the median distance is the
-    mean of the roots of the middle order statistics.
+    Exact selection by bracketing (Floyd & Rivest 1975) without copying the
+    triangle: _MEDIAN_SAMPLE entries of the C-contiguous matrix, drawn with a
+    fixed seed, give a value bracket [lo, hi] around the middle ranks. One
+    pass over the upper triangle, in row strips of about _LOO_STRIP
+    elements, counts the values <= lo and < hi and gathers those strictly
+    between (about 3% of the pairs); ties at a bound are counted, never
+    gathered. A rank the bracket misses widens it on that side, the old
+    bound becoming the new opposite one, so a value tied at it is found from
+    its two counts. The sample only steers the passes: the result is exact
+    for any square matrix, NaN sorting last as in a partition. sqrt is
+    monotone, so the median distance is the mean of the roots of the middle
+    order statistics.
     """
     n = len(d2)
-    buf = np.empty(n * (n - 1) // 2)
-    if not buf.size:
+    pairs = n * (n - 1) // 2
+    if not pairs:
         return 0.0
-    pos = 0
-    for i in range(n - 1):
-        buf[pos : pos + n - 1 - i] = d2[i, i + 1 :]
-        pos += n - 1 - i
-    half = buf.size // 2
-    buf.partition(half)  # buf[:half] now holds the half smallest values
-    mid = [buf[half]] if buf.size % 2 else [buf[:half].max(), buf[half]]
-    return float(np.mean(np.sqrt(mid)))
+    ks = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
+    rows = min(n, max(1, _LOO_STRIP // n))
+    # entries drawn at random: a regular stride meets few columns in each row
+    # and estimates the median like a subsample of points, much more coarsely
+    picks = np.random.default_rng(0).integers(0, n * n, min(n * n, _MEDIAN_SAMPLE))
+    sample = np.sort(d2.reshape(-1).take(picks))
+    m = int(np.count_nonzero(sample == sample))  # NaNs sort last; no bound comes from them
+    # n diagonal zeros then every triangle value twice: rank k of the triangle
+    # sits near rank n + 2k of the matrix
+    width = math.isqrt(4 * m) + 1  # about four standard errors of a sample quantile
+    lo_pos = max(-1, (n + 2 * ks[0]) * m // (n * n) - width)
+    hi_pos = min(m, -(-(n + 2 * ks[-1]) * m // (n * n)) + width)
+    # strict upper triangles of the diagonal blocks, which the strips leave out
+    upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    corners = np.concatenate(
+        [d2[a : a + rows, a : a + rows][upper[: n - a, : n - a]] for a in range(0, n, rows)]
+    )
+    le_at, lt_at, found = {}, {}, {}
+    while True:
+        lo = sample[lo_pos] if lo_pos >= 0 else -np.inf  # no squared distance is below 0
+        hi = sample[hi_pos] if hi_pos < m else None  # None: no upper bound, NaN included
+        le, lt, inside = _bracket_pass(d2, rows, corners, lo, hi)
+        le_at[lo], lt_at[hi] = le, lt
+        want = [k - le for k in ks if k not in found and le <= k < lt]
+        if want:  # one partition; the rank below it is the max of its left part
+            inside.partition(want[-1])
+            if len(want) == 2:
+                found[ks[0]] = inside[: want[1]].max()
+            found[want[-1] + le] = inside[want[-1]]
+        for v in (lo, hi):
+            if v in le_at and v in lt_at:  # ranks tied at v
+                found.update((k, v) for k in ks if lt_at[v] <= k < le_at[v])
+        left = [k for k in ks if k not in found]
+        if not left:
+            return float(np.mean(np.sqrt([found[k] for k in ks])))
+        # widen past every sample value tied with the bound that missed
+        width *= 2
+        if left[0] < le:
+            below = int(np.searchsorted(sample[:m], lo)) - 1
+            lo_pos, hi_pos = max(-1, min(lo_pos - width, below)), lo_pos
+        else:
+            above = int(np.searchsorted(sample[:m], hi, side="right"))
+            lo_pos, hi_pos = hi_pos, min(m, max(hi_pos + width, above))
+
+
+def _bracket_pass(d2, rows, corners, lo, hi):
+    """(count <= lo, count < hi, values strictly between) over d2's upper triangle.
+
+    ``hi`` None counts every value and gathers all those above ``lo``.
+    """
+    size = max(rows * len(d2), corners.size)
+    at_lo, inside = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    le = lt = 0
+    parts = []
+    for vals in _upper_strips(d2, rows, corners):
+        b, u = at_lo[: vals.size], inside[: vals.size]
+        np.less_equal(vals, lo, out=b)
+        le += np.count_nonzero(b)
+        if hi is None:
+            np.logical_not(b, out=u)
+            lt += vals.size
+        else:
+            np.less(vals, hi, out=u)
+            lt += np.count_nonzero(u)
+            np.greater(u, b, out=u)  # < hi and not <= lo
+        parts.append(vals.take(np.flatnonzero(u)))
+    return le, lt, np.concatenate(parts)
+
+
+def _upper_strips(d2, rows, corners):
+    """The strict upper triangle of d2 as contiguous strips of about rows * n values.
+
+    The rectangle right of each block of ``rows`` rows is copied into one
+    reused buffer; ``corners`` holds the triangles beside the diagonal.
+    """
+    n = len(d2)
+    buf = np.empty(rows * n)
+    for start in range(0, n, rows):
+        block = d2[start : start + rows, start + rows :]
+        if block.size:
+            vals = buf[: block.size]
+            np.copyto(vals.reshape(block.shape), block)
+            yield vals
+    yield corners
 
 
 def _grid_around(med: float, size: int) -> np.ndarray:

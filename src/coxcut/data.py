@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 UNLABELED = 0  # label value marking a row without a class
 _INT64_MAX = int(np.iinfo(np.int64).max)  # largest label the int64 label vector holds
+_SHOWN = 40  # characters of a cell echoed in an error message
+# sign and digits of an integer literal, leading zeros apart; int() refuses one
+# of more than 4300 digits, Python's limit on integer-string conversion
+_INT_LITERAL = re.compile(r"([+-]?)(?=\d)0*(\d*)")
 
 
 @dataclass
@@ -73,6 +78,29 @@ class Dataset:
         return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), num_classes)
 
 
+def _shown(text: str) -> str:
+    """``text`` cut to _SHOWN characters for an error message, with its length."""
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
+def _refused_int(cell: str) -> int | None:
+    """Value of a cell that int() refused, or None if it is no integer literal.
+
+    int() also refuses literals past Python's int-string limit. Without its
+    leading zeros, such a literal of more than 19 digits lies beyond int64
+    and comes back as +-(_INT64_MAX + 1), outside every class range.
+    """
+    m = _INT_LITERAL.fullmatch(cell)
+    if m is None:
+        return None
+    sign, digits = m.groups()
+    if len(digits) <= 19:
+        return int(sign + (digits or "0"))
+    return -(_INT64_MAX + 1) if sign == "-" else _INT64_MAX + 1
+
+
 def _read_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
     """Header cells, data rows and each data row's line number in a CSV file.
 
@@ -117,8 +145,8 @@ def _covariate_matrix(path, header, rows, line_nos, cols) -> np.ndarray:
         r, c = divmod(len(values), len(cols))  # the cell that float() refused
         i = cols[c]
         raise ValueError(
-            f"{path} row {line_nos[r]}: non-numeric covariate {rows[r][i]!r} "
-            f"in column {header[i]!r}"
+            f"{path} row {line_nos[r]}: non-numeric covariate {_shown(repr(rows[r][i]))} "
+            f"in column {_shown(repr(header[i]))}"
         ) from None
     covs = np.array(values, dtype=np.float64).reshape(len(rows), len(cols))
     if not np.all(np.isfinite(covs)):
@@ -151,7 +179,9 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
     """
     header, rows, line_nos = _read_rows(path)
     if label_column not in header:
-        raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
+        raise ValueError(
+            f"{path}: no column named {_shown(repr(label_column))} in header {_shown(str(header))}"
+        )
     lbl_idx = header.index(label_column)
     cov_idx = [i for i in range(len(header)) if i != lbl_idx]
     if not cov_idx:
@@ -166,9 +196,14 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
             try:
                 lab = int(cell)
             except ValueError:
-                raise ValueError(f"{path} row {line_no}: label {cell!r} is not an integer") from None
+                lab = _refused_int(cell)
+                if lab is None:
+                    raise ValueError(
+                        f"{path} row {line_no}: label {_shown(repr(cell))} is not an integer"
+                    ) from None
             if not 1 <= lab <= _INT64_MAX:
-                raise ValueError(f"{path} row {line_no}: label {lab} outside {{1..Q}}")
+                shown = str(lab) if abs(lab) <= _INT64_MAX else cell
+                raise ValueError(f"{path} row {line_no}: label {_shown(shown)} outside {{1..Q}}")
         labels.append(lab)
     labels = np.array(labels, dtype=np.int64)
 

@@ -17,7 +17,11 @@ import numpy as np
 from .classify import ClassModel
 from .kernels import Kernel
 
-MAX_GRID_CELLS = 10_000
+# Sampling a field holds three n x n float64 matrices over its n cells at
+# once: the covariance (jittered in place), numpy's working copy inside the
+# Cholesky call, and the factor. Together they may take at most this.
+MAX_FIELD_BYTES = 2**29  # 512 MiB: up to 4729 cells, e.g. --grid 68 in 2-D
+_FIELD_MATRICES = 3
 
 # Jitter schedule for the covariance factorization, relative to signal variance.
 _JITTER_START = 1e-10
@@ -95,11 +99,19 @@ class IntensityField:
 
 
 def _cholesky_with_jitter(k: np.ndarray, signal_variance: float) -> np.ndarray:
+    """Cholesky factor of k + jitter * I, raising the jitter until k factors.
+
+    The jitter goes onto k's diagonal in place, from a saved copy of that
+    diagonal, so no second n x n matrix is made; the values factored are
+    those of k + jitter * np.eye(n).
+    """
     jitter = _JITTER_START * signal_variance
     cap = _JITTER_CAP * signal_variance
+    diag = k.diagonal().copy()
     while True:
+        np.fill_diagonal(k, diag + jitter)
         try:
-            return np.linalg.cholesky(k + jitter * np.eye(k.shape[0]))
+            return np.linalg.cholesky(k)
         except np.linalg.LinAlgError:
             if jitter >= cap:
                 raise RuntimeError(
@@ -111,9 +123,13 @@ def _cholesky_with_jitter(k: np.ndarray, signal_variance: float) -> np.ndarray:
 
 def sample_gp_field(mean: float, kernel: Kernel, window: Window, seed: int = 0) -> IntensityField:
     """Sample exp(f) on the window grid, f jointly Gaussian at the cell centers."""
-    if window.num_cells > MAX_GRID_CELLS:
+    cells = window.num_cells
+    need = _FIELD_MATRICES * 8 * cells * cells
+    if need > MAX_FIELD_BYTES:
         raise ValueError(
-            f"grid has {window.num_cells} cells, above the {MAX_GRID_CELLS} factorization guard"
+            f"grid has {cells} cells: factorizing their covariance holds {_FIELD_MATRICES} "
+            f"{cells}x{cells} float64 matrices ({need / 1e9:.2g} GB), above the "
+            f"{MAX_FIELD_BYTES / 1e9:.2g} GB guard; use fewer cells per axis (--grid)"
         )
     centers = window.cell_centers()
     chol = _cholesky_with_jitter(kernel.gram(centers), kernel.signal_variance)

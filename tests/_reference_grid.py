@@ -3,9 +3,10 @@
 This is the straightforward form of ``coxcut.cv.default_lengthscale_grid``:
 it takes the square root of the whole strict upper triangle of
 ``sym_sq_dists`` (picked with ``np.triu_indices``) and its ``np.median``.
-``default_lengthscale_grid`` gathers the triangle row by row, partitions it
-in place and takes roots of the middle order statistics only; tests require
-both to give bit-identical grids.
+``default_lengthscale_grid`` selects the middle order statistics of the
+triangle by bracketing over row strips of the matrix, without copying the
+triangle, and takes roots of those only; tests require both to give
+bit-identical grids.
 """
 
 import numpy as np

@@ -118,6 +118,21 @@ class TestSimulate:
         ]
         assert not (tmp_path / "field.csv").exists()
 
+    def test_grid_past_the_byte_guard_is_one_line_error(self, tmp_path):
+        # 10,000 cells passed the old cell count guard and then needed a 0.8 GB gram
+        argv = ["simulate", "--window", "0,1", "--grid", "10000",
+                "--out-field", str(tmp_path / "field.csv"),
+                "--out-points", str(tmp_path / "points.csv")]
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "coxcut: error: grid has 10000 cells: factorizing their covariance holds 3 "
+            "10000x10000 float64 matrices (2.4 GB), above the 0.54 GB guard; use fewer "
+            "cells per axis (--grid)"
+        ]
+        assert not (tmp_path / "field.csv").exists()
+
 
 class TestPredictEval:
     def test_predict_output_schema(self, tmp_path, capsys):
@@ -225,6 +240,22 @@ class TestSsl:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.splitlines() == [
             f"coxcut: error: {data} row 4: field larger than field limit (131072)"
+        ]
+        assert not out.exists()
+
+
+    def test_label_past_the_int_string_limit_is_one_short_line(self, tmp_path):
+        data = tmp_path / "long.csv"
+        data.write_text("x1,label\n1,1\n2,2\n3," + "9" * 5000 + "\n4,\n")
+        out = tmp_path / "out.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "coxcut", "ssl", "--data", str(data), "--lengthscale",
+             "0.5", "--out", str(out)],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"coxcut: error: {data} row 4: label {'9' * 40}... (5000 characters) outside {{1..Q}}"
         ]
         assert not out.exists()
 
@@ -467,6 +498,49 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"coxcut: error: {message}"]
+
+
+_COMMAND_NAMES = ["gen", "simulate", "fit", "predict", "ssl", "eval", "bench", "energy"]
+
+
+class TestPerCommandParser:
+    """run() adds only the invoked command's arguments; what it prints must not change."""
+
+    @staticmethod
+    def _full_parser_outcome(capsys, argv):
+        from coxcut.cli import _build_parser, _fold_negative_values
+
+        try:
+            _build_parser().parse_args(_fold_negative_values(list(argv)))
+            code = 0
+        except SystemExit as e:
+            code = int(e.code or 0)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # every argv here stops in the parser: help, a missing or bad flag, an unknown command
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["frobnicate"], ["frobnicate", "--help"], ["--bogus"],
+        ["fi"], ["gen", "--bogus"], ["fit", "--train"], ["fit", "gen"],
+        ["bench", "--repeats", "x"], ["simulate", "--window", "-1,-1,1,1"],
+        ["ssl", "--means", "-1,1"],
+        *([c, "--help"] for c in _COMMAND_NAMES),
+        *([c] for c in _COMMAND_NAMES if c != "bench"),
+    ], ids=str)
+    def test_same_output_and_exit_code_as_the_full_parser(self, capsys, argv):
+        expected = self._full_parser_outcome(capsys, argv)
+        assert expected[0] in (0, 2)
+        assert _run(capsys, *argv) == expected
+
+    def test_only_the_invoked_command_gets_arguments(self, capsys):
+        from coxcut.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser("ssl").parse_args(["fit", "--help"])
+        assert "--train" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            _build_parser("ssl").parse_args(["ssl", "--help"])
+        assert "--data" in capsys.readouterr().out
 
 
 class TestExitCodes:

@@ -19,6 +19,8 @@ from coxcut import (
     ssl_solve,
     Kernel,
 )
+from coxcut.cv import _median_distance
+from coxcut.kernels import sym_sq_dists
 
 
 def _clusters(n=20, gap=10.0, seed=0):
@@ -129,10 +131,10 @@ class TestLooMatchesReference:
         assert self._peak_bytes(*_helix_grid(n)) <= 1.25 * n * n * 8
 
     def test_peak_memory_with_auto_grid(self):
-        # plus the strict upper triangle of the same distances, for the median
+        # the median is selected from the same distances without copying them
         n = 1500
         train, _ = _helix_grid(n)
-        assert self._peak_bytes(train, None) <= 1.75 * n * n * 8
+        assert self._peak_bytes(train, None) <= 1.25 * n * n * 8
 
 
 class TestGridValidatedBeforeWork:
@@ -233,10 +235,12 @@ class TestDefaultGrid:
     # 1081 and 1225 pairs are odd counts, 1128, 1176 and 19900 even; a selection
     # that partitions one place off the middle leaves the middle out of order in
     # some of these layouts
-    @pytest.mark.parametrize("m, shuffles", [(47, 0), (48, 200), (49, 200), (50, 0), (200, 0)])
+    # 601 and 602 points are past one strip's rows, so the strips carry most pairs
+    @pytest.mark.parametrize(
+        "m, shuffles",
+        [(47, 0), (48, 200), (49, 200), (50, 0), (200, 0), (601, 3), (602, 3)],
+    )
     def test_median_distance_of_every_triangle_layout(self, m, shuffles):
-        from coxcut.cv import _median_distance
-
         upper = np.triu_indices(m, 1)
         for vals in self._orders(len(upper[0]), shuffles):
             d2 = np.zeros((m, m))
@@ -250,3 +254,128 @@ class TestDefaultGrid:
         grid = default_lengthscale_grid(x)
         assert np.array_equal(grid, default_lengthscale_grid_reference(x))
         assert grid[0] == pytest.approx(0.01) and grid[-1] == pytest.approx(100.0)
+
+    def test_peak_memory_above_the_subsample_size(self):
+        # one matrix of the 2048 sampled points; the median copies no triangle
+        x = np.random.default_rng(5).normal(0.0, 1.0, (3000, 3))
+        tracemalloc.start()
+        try:
+            default_lengthscale_grid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2048 * 2048 * 8
+
+
+def _triangle_median(d2):
+    vals = d2[np.triu_indices(len(d2), 1)]
+    return float(np.median(np.sqrt(vals))) if vals.size else 0.0
+
+
+class TestMedianDistance:
+    """The bracketed selection against np.median of the roots of the whole triangle."""
+
+    @staticmethod
+    def _points(n, layout, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 2.0, (n, 2))
+        if layout == "half-duplicated":
+            x[: n // 2] = x[rng.integers(n // 2, n, n // 2)]
+        elif layout == "all-equal":
+            x[:] = 0.3
+        elif layout == "integer-grid":  # few distinct distances, many ties at every value
+            x = rng.integers(0, 3, (n, 2)).astype(np.float64)
+        return x
+
+    # odd pair counts at n = 2, 3, 6, 7, 302; even at 4, 5, 300, 301, 1000
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 300, 301, 302, 1000])
+    @pytest.mark.parametrize("layout", ["random", "half-duplicated", "all-equal", "integer-grid"])
+    def test_matches_median_of_roots(self, n, layout):
+        d2 = sym_sq_dists(self._points(n, layout, n))
+        assert _median_distance(d2) == _triangle_median(d2)
+
+    @staticmethod
+    def _spy_on_passes(monkeypatch):
+        """Record how many values each bracket pass gathers; stop after 20 passes."""
+        from coxcut import cv
+
+        gathered = []
+        real = cv._bracket_pass
+
+        def spy(*args):
+            assert len(gathered) < 20, "the bracket kept widening"
+            result = real(*args)
+            gathered.append(len(result[2]))
+            return result
+
+        monkeypatch.setattr(cv, "_bracket_pass", spy)
+        return gathered
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_all_equal_points_take_one_pass_and_gather_nothing(self, n, monkeypatch):
+        gathered = self._spy_on_passes(monkeypatch)
+        assert _median_distance(sym_sq_dists(self._points(n, "all-equal", 0))) == 0.0
+        assert gathered == [0]
+
+    def test_a_middle_rank_opening_a_tie_run_is_counted_not_gathered(self, monkeypatch):
+        # 601 points: 180300 pairs, middle ranks 90149 and 90150; the 90150
+        # smallest values are distinct, and rank 90150 opens a run of 90150 ties
+        n = 601
+        upper = np.triu_indices(n, 1)
+        vals = np.r_[np.arange(1.0, 90151.0), np.full(90150, 1e6)]
+        vals = np.random.default_rng(7).permutation(vals)
+        d2 = np.zeros((n, n))
+        d2[upper] = vals
+        d2.T[upper] = vals
+        gathered = self._spy_on_passes(monkeypatch)
+        assert _median_distance(d2) == _triangle_median(d2)
+        assert max(gathered) < 90150
+
+    @staticmethod
+    def _misleading(n, lower, seed):
+        # upper triangle drawn from few distinct values; the lower triangle,
+        # which the bracket's sample also reads, pulls the sample away from it
+        rng = np.random.default_rng(seed)
+        d2 = rng.integers(0, 40, (n, n)).astype(np.float64) ** 2
+        below = np.tril_indices(n, -1)
+        d2[below] = {"zeros": 0.0, "huge": 1e300}.get(lower, np.nan)
+        if lower == "mirror-shuffled":
+            d2[below] = rng.permutation(d2.T[below])
+        np.fill_diagonal(d2, 0.0)
+        return d2
+
+    @pytest.mark.parametrize("lower", ["zeros", "huge", "mirror-shuffled"])
+    @pytest.mark.parametrize("n", [700, 701, 1200])
+    def test_exact_when_the_sample_misses(self, n, lower, monkeypatch):
+        gathered = self._spy_on_passes(monkeypatch)
+        d2 = self._misleading(n, lower, n)
+        assert _median_distance(d2) == _triangle_median(d2)
+        if lower != "mirror-shuffled":  # a sample from the lower half must widen the bracket
+            assert len(gathered) > 1
+
+    @pytest.mark.parametrize("nan_share", [0.2, 0.6])
+    def test_overflowing_distances_sort_like_a_partition(self, nan_share):
+        # coordinates near 1e200 overflow to inf and NaN squared distances;
+        # the result is still the middle of the triangle sorted with NaN last
+        n = 801
+        upper = np.triu_indices(n, 1)
+        rng = np.random.default_rng(6)
+        vals = rng.choice([1.0, 2.0, np.inf, np.nan], len(upper[0]), p=[0.2, 0.2, 0.6 - nan_share, nan_share])
+        d2 = np.zeros((n, n))
+        d2[upper] = vals
+        d2.T[upper] = vals
+        vals = np.sort(vals)
+        half = len(vals) // 2
+        mid = vals[half : half + 1] if len(vals) % 2 else vals[half - 1 : half + 1]
+        assert np.array_equal(_median_distance(d2), np.mean(np.sqrt(mid)), equal_nan=True)
+
+    def test_copies_less_than_a_tenth_of_the_matrix(self):
+        n = 2000
+        d2 = sym_sq_dists(self._points(n, "random", 0))
+        tracemalloc.start()
+        try:
+            _median_distance(d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * n * n * 8

@@ -86,6 +86,39 @@ class TestLoadCsv:
             with pytest.raises(ValueError, match=rf"^.* row {line}: field larger than field limit"):
                 load(p)
 
+    @pytest.mark.parametrize("digits, value, shown", [
+        ("9" * 5000, None, "9" * 40 + "... (5000 characters)"),
+        ("-" + "9" * 5000, None, "-" + "9" * 39 + "... (5001 characters)"),
+        ("0" * 5000, None, "0"),
+        ("0" * 4999 + "1", 1, None),
+        ("+" + "0" * 4999 + "2", 2, None),
+    ], ids=["large", "negative", "zeros", "leading-zeros-1", "leading-zeros-2"])
+    def test_label_past_the_int_string_limit_is_an_integer(self, tmp_path, digits, value, shown):
+        # int() refuses more than 4300 digits; such a cell is still an integer literal
+        p = _write(tmp_path, f"x1,label\n1,1\n2,{digits}\n")
+        if value is not None:
+            assert load_csv(p, num_classes=2).labels.tolist() == [1, value]
+            return
+        with pytest.raises(ValueError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p} row 3: label {shown} outside {{1..Q}}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,label\n1,1\n2,{big}x\n",
+         " row 3: label '{ones}... (5003 characters) is not an integer"),
+        ("x1,label\n{big}x,1\n2,2\n",
+         " row 2: non-numeric covariate '{ones}... (5003 characters) in column 'x1'"),
+        ("{big},label\nzz,1\n2,2\n",
+         " row 2: non-numeric covariate 'zz' in column '{ones}... (5002 characters)"),
+        ("x1,{big}\n1,1\n",
+         ": no column named 'label' in header ['x1', '{ones8}... (5010 characters)"),
+    ], ids=["label", "covariate", "column name", "header"])
+    def test_long_cells_are_shortened_in_errors(self, tmp_path, text, message):
+        p = _write(tmp_path, text.format(big="1" * 5000))
+        with pytest.raises(ValueError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}" + message.format(ones="1" * 39, ones8="1" * 32)
+
     @pytest.mark.parametrize("comment", ["two\nlines", "carriage\rreturn"])
     def test_save_rejects_comment_with_line_break(self, tmp_path, comment):
         ds = Dataset(np.zeros((1, 1)), np.array([1]), 2)

@@ -13,7 +13,7 @@ from coxcut import (
     sample_poisson_points,
     thin,
 )
-from coxcut.simulate import _cholesky_with_jitter
+from coxcut.simulate import MAX_FIELD_BYTES, _cholesky_with_jitter
 
 
 def _unit_kernel(ls=1.0):
@@ -33,6 +33,18 @@ class TestWindow:
         w = Window(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 101)
         with pytest.raises(ValueError, match="guard"):
             sample_gp_field(0.0, _unit_kernel(), w, 0)
+
+    @pytest.mark.parametrize("cells, dim", [(4730, 1), (69, 2), (10_000, 1)])
+    def test_byte_guard_refuses_before_any_matrix(self, cells, dim, monkeypatch):
+        # three cells x cells float64 matrices must fit in MAX_FIELD_BYTES (4729 cells)
+        def no_gram(self, points):
+            raise AssertionError("gram evaluated")
+
+        monkeypatch.setattr(Kernel, "gram", no_gram)
+        w = Window(np.zeros(dim), np.ones(dim), cells)
+        with pytest.raises(ValueError, match=r"cells per axis \(--grid\)$"):
+            sample_gp_field(0.0, _unit_kernel(), w, 0)
+        assert 3 * 8 * w.num_cells**2 > MAX_FIELD_BYTES >= 3 * 8 * 4729**2
 
 
 class TestGpField:
@@ -68,6 +80,12 @@ class TestGpField:
         a = sample_gp_field(0.0, _unit_kernel(), w, seed=4).intensity
         b = sample_gp_field(0.0, _unit_kernel(), w, seed=4).intensity
         assert np.array_equal(a, b)
+
+    def test_jitter_raised_in_place_factors_k_plus_jitter_identity(self):
+        # one eigenvalue is about -1e-8: the jitter climbs from 1e-10 to 1e-7
+        k0 = np.array([[1.0, 1.0 + 1e-8], [1.0 + 1e-8, 1.0]])
+        chol = _cholesky_with_jitter(k0.copy(), 1.0)
+        assert np.array_equal(chol, np.linalg.cholesky(k0 + 1e-7 * np.eye(2)))
 
     def test_factorization_failure_reports_jitter(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
