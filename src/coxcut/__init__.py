@@ -48,6 +48,7 @@ from .mrf import (
     check_pairwise_representable,
     energy_of,
     joint_unnormalized_log_prob,
+    pair_tables,
 )
 from .simulate import (
     IntensityField,
@@ -97,6 +98,7 @@ __all__ = [
     "loo_cv",
     "max_flow",
     "node_balances",
+    "pair_tables",
     "partition",
     "predict_label",
     "predict_labels",

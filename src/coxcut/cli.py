@@ -28,7 +28,7 @@ from .data import (
 )
 from .expansion import ssl_solve
 from .kernels import Kernel
-from .mrf import build_energy
+from .mrf import build_energy, pair_tables
 from .simulate import Window, sample_gp_field, sample_poisson_points
 
 BENCH_SIZES = (1024, 2048, 4096, 8192)
@@ -271,7 +271,7 @@ def _cmd_energy(args) -> int:
         "unary": energy.unary.tolist(),
         "pairs": [
             {"i": int(i), "j": int(j), "table": t.tolist()}
-            for i, j, t in zip(energy.pair_i, energy.pair_j, energy.tables)
+            for i, j, t in zip(energy.pair_i, energy.pair_j, pair_tables(energy))
         ],
     }
     with open(args.dump, "w", encoding="utf-8") as fh:

@@ -152,6 +152,15 @@ def _covariate_matrix(path, header, rows, line_nos, cols) -> np.ndarray:
     if not np.all(np.isfinite(covs)):
         bad = int(np.argwhere(~np.isfinite(covs))[0][0])
         raise ValueError(f"{path} row {line_nos[bad]}: non-finite covariate value")
+    # A squared distance (|a| + |b|)^2 between two rows is below 4 max |x|^2,
+    # and kernels.sym_sq_dists adds two of them before halving.
+    with np.errstate(over="ignore"):
+        big = np.flatnonzero(8.0 * np.square(covs).sum(axis=1) == np.inf)
+    if len(big):
+        raise ValueError(
+            f"{path} row {line_nos[big[0]]}: covariates too large, "
+            "8 |x|^2 overflows float64 in squared distances"
+        )
     return covs
 
 

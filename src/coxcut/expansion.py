@@ -10,8 +10,11 @@ Each move is reduced before it is cut (Alahari, Kohli & Torr 2008): a site
 that already carries alpha has the same energy whether it keeps or
 switches, so only the other sites enter the binary sub-energy. A pair with
 one such fixed end becomes a unary term on its free end, and a pair with
-both ends fixed is a constant of the move and is left out. A move in which
-every site already carries alpha returns the labeling without a cut.
+both ends fixed is a constant of the move and is left out. A pair with
+both ends free is again a Potts pair, with two weight columns: its weight
+at the sites' common label when both keep it, the alpha weight when both
+switch, and 0 whenever their labels differ. A move in which every site
+already carries alpha returns the labeling without a cut.
 
 The sweeps stop early as well. An accepted alpha move minimizes over every
 labeling in which each site keeps its previous label or takes alpha; a
@@ -28,7 +31,9 @@ import numpy as np
 
 from .data import Dataset
 from .mincut import binary_map
-from .mrf import EnergyGraph, _check_labeling, build_energy, check_pairwise_representable, energy_of
+from .mrf import EnergyGraph, _check_labeling, build_energy, energy_of
+# Not called here; kept importable because perfbench/tracing.py wraps this name.
+from .mrf import check_pairwise_representable  # noqa: F401
 
 # Strict improvement required to accept a move; guards against cycling on
 # quantization noise.
@@ -49,26 +54,21 @@ def expansion_move(energy: EnergyGraph, labels, alpha: int) -> tuple[np.ndarray,
     remap[free] = np.arange(len(free))
     keep = energy.unary[free, cur[free]]
     switch = energy.unary[free, a0]
-    t = energy.tables
+    w = energy.weights
+    w_alpha = w[:, energy.column[a0]]
     ri, rj = remap[energy.pair_i], remap[energy.pair_j]
-    ci, cj = cur[energy.pair_i], cur[energy.pair_j]
     free_i, free_j = ri >= 0, rj >= 0
-    # a pair with one end at alpha adds its row (or column) a0 to the other end's unaries
+    # a pair with one end at alpha adds -w_alpha to the other end's switch unary
     fixed_i = np.flatnonzero(~free_i & free_j)
     fixed_j = np.flatnonzero(free_i & ~free_j)
     ends = np.concatenate([rj[fixed_i], ri[fixed_j]])
-    keep_w = np.concatenate([t[fixed_i, a0, cj[fixed_i]], t[fixed_j, ci[fixed_j], a0]])
-    switch_w = t[np.concatenate([fixed_i, fixed_j]), a0, a0]
-    keep = keep + np.bincount(ends, keep_w, minlength=len(free))
-    switch = switch + np.bincount(ends, switch_w, minlength=len(free))
+    switch = switch - np.bincount(ends, w_alpha[np.concatenate([fixed_i, fixed_j])], len(free))
+    # a pair with both ends free keeps its weight if both keep the same label
+    # and takes w_alpha if both switch; its labels differ otherwise
     both = np.flatnonzero(free_i & free_j)
-    bi, bj = ci[both], cj[both]
-    sub_tables = np.empty((len(both), 2, 2))
-    sub_tables[:, 0, 0] = t[both, bi, bj]
-    sub_tables[:, 0, 1] = t[both, bi, a0]
-    sub_tables[:, 1, 0] = t[both, a0, bj]
-    sub_tables[:, 1, 1] = t[both, a0, a0]
-    sub = EnergyGraph(np.column_stack([keep, switch]), ri[both], rj[both], sub_tables, 0.0)
+    bi, bj = cur[energy.pair_i[both]], cur[energy.pair_j[both]]
+    sub_weights = np.column_stack([w[both, energy.column[bi]] * (bi == bj), w_alpha[both]])
+    sub = EnergyGraph(np.column_stack([keep, switch]), ri[both], rj[both], sub_weights, [0, 1])
     candidate = y.copy()
     candidate[free[binary_map(sub) == 2]] = alpha
     return candidate, energy_of(energy, candidate)
@@ -83,9 +83,6 @@ def alpha_expansion(energy: EnergyGraph, init, history: list | None = None) -> n
     accepted label cannot be accepted. If ``history`` is given, the initial
     energy and the energy after every accepted move are appended to it.
     """
-    ok, witness = check_pairwise_representable(energy)
-    if not ok:
-        raise ValueError(f"energy is not pairwise graph-representable, witness {witness}")
     y = _check_labeling(energy, init).copy()
     e = energy_of(energy, y)
     if history is not None:

@@ -1,24 +1,21 @@
 """Exact binary MAP labeling via an s-t min cut.
 
-With the convention x = 0 for the source side (label 1), each pairwise
-table [[A, B], [C, D]] with A + D <= B + C is reparametrized as
+A binary energy's pairs are Potts pairs with weights w1, w2 >= 0: the
+table [[A, B], [C, D]] is [[-w1, 0], [0, -w2]]. With the convention x = 0
+for the source side (label 1), it is reparametrized as
 
     E(x1, x2) = A (1 - x1) + D x1 + B' (1 - x1) x2 + C' x1 (1 - x2)
 
-with B' = B - A and C' = C - D (Kolmogorov & Zabih 2004). The first two
-terms go to site 1's unary, so the pair reaches the terminals only through
-D - A, which is 0 for a Potts table with one shared kernel. The rest is one
-arc pair between the sites: capacity B' on the forward arc 1 -> 2 (cut
-when site 1 is on the source side and site 2 is not) and C' on its
-reverse slot. Representability makes B' + C' >= 0, so at most one side can
-be negative; a negative side is folded onto the terminals, e.g. for B' < 0
-
-    B' (1 - x1) x2 + C' x1 (1 - x2) = B' x2 - B' x1 + (B' + C') x1 (1 - x2)
-
-leaves 0 forward and B' + C' reverse. The per-site sums are terminal arcs,
-all capacities are non-negative, and the capacity of any s/t cut equals
-the (quantized) energy of the induced labeling minus a fixed offset, hence
-a minimum cut is a minimum-energy labeling. Capacities are integers so the
+with B' = B - A = w1 and C' = C - D = w2 (Kolmogorov & Zabih 2004). The
+first two terms go to site 1's unary, so the pair reaches the terminals
+only through D - A = w1 - w2, which is 0 when both labels share one
+kernel. The rest is one arc pair between the sites: capacity B' on the
+forward arc 1 -> 2 (cut when site 1 is on the source side and site 2 is
+not) and C' on its reverse slot. Both are non-negative, so nothing has to
+be moved onto the terminals. The per-site sums are terminal arcs, all
+capacities are non-negative, and the capacity of any s/t cut equals the
+(quantized) energy of the induced labeling minus a fixed offset, hence a
+minimum cut is a minimum-energy labeling. Capacities are integers so the
 augmenting-path solver terminates and conservation checks are exact; the
 returned labeling is re-evaluated in unquantized energy and polished by
 single-site flips, which removes any quantization-induced misordering.
@@ -52,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrf import REPRESENTABILITY_TOL, EnergyGraph
+from .mrf import EnergyGraph
 
 # Quantization scale is 2**bits / (largest absolute energy entry), with bits
 # capped so the worst-case sum of all quantized terms stays far below 2**63.
@@ -348,58 +345,33 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     """
     if energy.num_labels != 2:
         raise ValueError(f"min-cut reduction needs a binary energy, got Q={energy.num_labels}")
-    t = energy.tables
     # NaN or inf entries would quantize to garbage; a maximum is NaN or inf
-    # exactly when some entry is
+    # exactly when some entry is (weights are finite by construction)
     unary_max = float(np.abs(energy.unary).max(initial=0.0))
-    table_max = float(np.abs(t).max(initial=0.0))
     if not math.isfinite(unary_max):
         k = int(np.flatnonzero(~np.isfinite(energy.unary).all(axis=1))[0])
         raise ValueError(f"non-finite unary energy at site {k}: {energy.unary[k].tolist()}")
-    if not math.isfinite(table_max):
-        p = int(np.flatnonzero(~np.isfinite(t).all(axis=(1, 2)))[0])
-        raise ValueError(
-            f"non-finite pairwise energy at sites ({int(energy.pair_i[p])}, "
-            f"{int(energy.pair_j[p])}): {t[p].tolist()}"
-        )
-    if energy.num_pairs:
-        slack = t[:, 0, 1] + t[:, 1, 0] - t[:, 0, 0] - t[:, 1, 1]
-        bad = np.flatnonzero(slack < -REPRESENTABILITY_TOL)
-        if len(bad):
-            p = int(bad[0])
-            raise ValueError(
-                f"pairwise energy at sites ({int(energy.pair_i[p])}, {int(energy.pair_j[p])}) "
-                f"violates the min-cut condition (slack {slack[p]:.3e})"
-            )
+    w1, w2 = (energy.weights[:, c] for c in energy.column)  # -E(1,1) and -E(2,2)
 
     u = energy.num_sites
     n_terms = u + energy.num_pairs + 1
     bits = min(_MAX_QUANT_BITS, _INT_HEADROOM_BITS - max(1, math.ceil(math.log2(n_terms + 1))))
     # floor keeps the scale finite for (near-)zero energies
-    max_abs = max(unary_max, table_max, 2.0**bits * 1e-300)
+    pair_max = max(float(w1.max(initial=0.0)), float(w2.max(initial=0.0)))
+    max_abs = max(unary_max, pair_max, 2.0**bits * 1e-300)
     scale = 2.0**bits / max_abs
 
     qu = np.rint(energy.unary * scale).astype(np.int64)
-    # Diagonals rounded down, off-diagonals up: keeps B' + C' non-negative
-    # without clamping (error < 1 quantum per entry).
-    qa = np.floor(t[:, 0, 0] * scale).astype(np.int64)
-    qd = np.floor(t[:, 1, 1] * scale).astype(np.int64)
-    fwd = np.ceil(t[:, 0, 1] * scale).astype(np.int64) - qa  # B'
-    rev = np.ceil(t[:, 1, 0] * scale).astype(np.int64) - qd  # C'
-    # Fold a negative side onto the terminals: site i's unary gains shift and
-    # site j's loses it. If both sides are negative (only inside the
-    # tolerance band), C' is folded and the forward arc is clamped at 0.
-    shift = np.where(rev < 0, rev, np.maximum(-fwd, 0))
-    fwd += shift
-    rev -= shift
-    np.maximum(fwd, 0, out=fwd)  # < 0 only within the tolerance band
-    np.maximum(rev, 0, out=rev)
+    # E(1,1) and E(2,2) rounded down (error < 1 quantum each), so the arc
+    # capacities B' = -qa and C' = -qd are non-negative integers
+    qa = np.floor(w1 * -scale).astype(np.int64)
+    qd = np.floor(w2 * -scale).astype(np.int64)
+    fwd, rev = -qa, -qd
 
     theta = qu[:, 1] - qu[:, 0]
     offset = int(qu[:, 0].sum())
     if energy.num_pairs:
-        np.add.at(theta, energy.pair_i, qd - qa + shift)
-        np.add.at(theta, energy.pair_j, -shift)
+        np.add.at(theta, energy.pair_i, qd - qa)
         offset += int(qa.sum())
     offset += int(theta[theta < 0].sum())
 
@@ -425,16 +397,19 @@ def _flip_polish(energy: EnergyGraph, labels: np.ndarray) -> np.ndarray:
     labels = labels.copy()
     u = energy.num_sites
     rng_sites = np.arange(u)
+    pr = np.arange(energy.num_pairs)
+    w = energy.weights[:, energy.column]  # (P, 2): each pair's weight at labels 1 and 2
     while True:
         cur = labels - 1
         alt = 1 - cur
         delta = energy.unary[rng_sites, alt] - energy.unary[rng_sites, cur]
         if energy.num_pairs:
-            pr = np.arange(energy.num_pairs)
             ci, cj = cur[energy.pair_i], cur[energy.pair_j]
-            now = energy.tables[pr, ci, cj]
-            np.add.at(delta, energy.pair_i, energy.tables[pr, 1 - ci, cj] - now)
-            np.add.at(delta, energy.pair_j, energy.tables[pr, ci, 1 - cj] - now)
+            same = ci == cj
+            # a flip loses the weight of a shared label, or gains the other end's
+            w_i = w[pr, ci]
+            np.add.at(delta, energy.pair_i, np.where(same, w_i, -w[pr, cj]))
+            np.add.at(delta, energy.pair_j, np.where(same, w_i, -w_i))
         k = int(np.argmin(delta))
         if delta[k] >= 0.0:
             return labels

@@ -6,13 +6,15 @@ Conditioning the model on covariates yields label energies of the form
 
 where unary(k, a) = -(mean_a + C_a(0)/2 + attraction of site k to the
 labeled points of class a) and pairwise(j,k)(a,b) = -delta(a,b) *
-C_a(x*_j - x*_k). Non-negative kernels make every pairwise table satisfy
+C_a(x*_j - x*_k). ``EnergyGraph`` holds each pair as one non-negative
+weight per distinct kernel, which makes every pairwise table satisfy
 
     E(a,a) + E(b,c) <= E(a,c) + E(b,a)
 
-for all label triples, which licenses the min-cut machinery in
-``mincut``/``expansion``. Brute-force enumeration of the minimum and of the
-log partition function is provided as a test oracle for small instances.
+for all label triples (Kolmogorov & Zabih 2004), which licenses the min-cut
+machinery in ``mincut``/``expansion``. Brute-force enumeration of the
+minimum and of the log partition function is provided as a test oracle for
+small instances.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .simulate import log_product_density
 
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
-PAIR_CUTOFF = 1e-12  # pairwise tables with all |entries| below this are dropped
+PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
 # Largest unlabeled set. Each distinct kernel's U x U float64 gram (0.5 GB at
 # this size) is evaluated in place; with the U x U masks that select the kept
 # pairs, one kernel peaks below 16 U^2 bytes (1.07 GB here) and k kernels
@@ -40,33 +42,46 @@ _MARGIN_ELEMENTS = 1 << 20
 
 @dataclass
 class EnergyGraph:
-    """Unary and pairwise energy tables over U sites with Q labels.
+    """Unary energies and Potts pair weights over U sites with Q labels.
 
-    Pairwise tables are stored per unordered site pair (pair_i[p] < pair_j[p]);
-    tables[p, a, b] is the energy of site pair_i[p] taking label a+1 and site
-    pair_j[p] taking label b+1.
+    Pairs are stored per unordered site pair (pair_i[p] < pair_j[p]).
+    ``weights`` has one column per distinct kernel and ``column[a]`` is the
+    column of label a+1: the pair's energy is -weights[p, column[a]] when
+    both sites take label a+1, and 0 when their labels differ. Weights must
+    be finite and non-negative, which makes every pair graph-representable.
     """
 
     unary: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
-    tables: np.ndarray
+    weights: np.ndarray
+    column: np.ndarray
     constant: float = 0.0
 
     def __post_init__(self):
         self.unary = np.ascontiguousarray(self.unary, dtype=np.float64)
         self.pair_i = np.ascontiguousarray(self.pair_i, dtype=np.int64)
         self.pair_j = np.ascontiguousarray(self.pair_j, dtype=np.int64)
-        self.tables = np.ascontiguousarray(self.tables, dtype=np.float64)
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        self.column = np.ascontiguousarray(self.column, dtype=np.int64)
         self.constant = float(self.constant)
         u, q = self.unary.shape
         p = len(self.pair_i)
-        if self.pair_j.shape != (p,) or self.tables.shape != (p, q, q):
+        w = self.weights
+        if self.pair_j.shape != (p,) or w.ndim != 2 or len(w) != p or self.column.shape != (q,):
             raise ValueError("pairwise arrays are inconsistent with the unary table")
         if p and (self.pair_i.min() < 0 or self.pair_j.max() >= u):
             raise ValueError("pair site indices out of range")
         if p and np.any(self.pair_i >= self.pair_j):
             raise ValueError("pairs must be stored with pair_i < pair_j")
+        if q and (self.column.min() < 0 or self.column.max() >= w.shape[1]):
+            raise ValueError(f"weight columns {self.column.tolist()} of the labels out of range")
+        if w.size and not (w.min() >= 0 and w.max() < np.inf):  # False for NaN
+            k = int(np.flatnonzero(~(np.isfinite(w) & (w >= 0)).all(axis=1))[0])
+            raise ValueError(
+                f"pair weights at sites ({int(self.pair_i[k])}, {int(self.pair_j[k])}) "
+                f"must be finite and non-negative: {w[k].tolist()}"
+            )
 
     @property
     def num_sites(self) -> int:
@@ -82,22 +97,21 @@ class EnergyGraph:
 
 
 def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAIR_CUTOFF) -> EnergyGraph:
-    """Energy tables for the unlabeled sites given class models and labeled data.
+    """Energy of the unlabeled sites' labels given class models and labeled data.
 
     The constant collects all terms that do not depend on the unlabeled
     labels (the labeled-labeled block), so that for a full labeling y* the
     identity joint_unnormalized_log_prob = -energy_of holds up to rounding.
     ``labeled`` may be None or contain no labeled rows, in which case the
-    unary tables carry only the mean and self-covariance terms.
+    unaries carry only the mean and self-covariance terms.
 
     A site pair j < k is kept when some class kernel has C(x*_j - x*_k) >=
     ``cutoff``; every pair is kept when ``cutoff`` is None. Kept pairs come
     in row-major order (by j, then k), the order of ``np.triu_indices``.
-    The kernels are non-negative, so this drops exactly the pairs whose
-    tables have every |entry| below the cutoff. Each distinct kernel's gram
-    on the unlabeled sites is evaluated once, and only kept pairs get a
-    table. More than MAX_SSL_SITES sites are refused before any U x U array
-    is allocated.
+    Each distinct kernel's gram on the unlabeled sites is evaluated once and
+    gives one weight column, C(x*_j - x*_k) for each kept pair; classes that
+    share a kernel share its column. More than MAX_SSL_SITES sites are
+    refused before any U x U array is allocated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -105,7 +119,7 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     u = x_u.shape[0]
     if u == 0:
         raise ValueError("no unlabeled sites")
-    kernels = dict.fromkeys(m.kernel for m in models)  # distinct, in class order
+    kernels = list(dict.fromkeys(m.kernel for m in models))  # distinct, in class order
     if u > MAX_SSL_SITES:
         raise ValueError(
             f"{u} unlabeled sites need {(len(kernels) + 1) * 8 * u * u / 1e9:.1f} GB of "
@@ -138,17 +152,18 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
             unary[:, a] -= m.kernel.cross(pts, x_u).sum(axis=0)
             constant -= len(pts) * m.mean + 0.5 * m.kernel.gram(pts).sum()
 
-    grams = {k: k.gram(x_u) for k in kernels}
+    grams = [k.gram(x_u) for k in kernels]
     keep = np.full((u, u), cutoff is None)
     if cutoff is not None:
-        for g in grams.values():
+        for g in grams:
             keep |= g >= cutoff
     flat = np.flatnonzero(np.triu(keep, 1))
     pi, pj = np.divmod(flat, u)
-    tables = np.zeros((len(flat), q, q))
-    for a, m in enumerate(models):
-        tables[:, a, a] = -grams[m.kernel].take(flat)
-    return EnergyGraph(unary, pi, pj, tables, constant)
+    weights = np.empty((len(flat), len(grams)))
+    for k, g in enumerate(grams):
+        weights[:, k] = g.take(flat)
+    column = [kernels.index(m.kernel) for m in models]
+    return EnergyGraph(unary, pi, pj, weights, column, constant)
 
 
 def joint_unnormalized_log_prob(models, dataset: Dataset) -> float:
@@ -183,46 +198,44 @@ def energy_of(energy: EnergyGraph, labeling) -> float:
     y = _check_labeling(energy, labeling) - 1
     e = energy.unary[np.arange(energy.num_sites), y].sum()
     if energy.num_pairs:
-        e += energy.tables[
-            np.arange(energy.num_pairs), y[energy.pair_i], y[energy.pair_j]
-        ].sum()
+        yi, yj = y[energy.pair_i], y[energy.pair_j]
+        w = energy.weights[np.arange(energy.num_pairs), energy.column[yi]]
+        # one term per pair, 0.0 where the labels differ, so numpy sums (and
+        # rounds) the same array as over explicit tables
+        e += np.where(yi == yj, -w, 0.0).sum()
     return float(e + energy.constant)
 
 
-def check_pairwise_representable(
-    energy: EnergyGraph, tol: float = REPRESENTABILITY_TOL
-):
-    """Verify E(a,a) + E(b,c) <= E(a,c) + E(b,a) + tol for every pair and triple.
-
-    Returns (True, None) or (False, (site_j, site_k, a, b, c)) with the first
-    violating tuple (labels 1-based). Only triples with a != b and a != c are
-    evaluated: for the others both sides are the same two entries, so the
-    margin is 0 exactly, while evaluating it could round above ``tol``. Pairs
-    are checked in chunks whose margin arrays hold about _MARGIN_ELEMENTS
-    entries each.
-
-    Tables with every off-diagonal entry exactly 0 and no diagonal entry
-    above 0 (the Potts tables of ``build_energy``) pass without the scan
-    when ``tol >= 0``: each of their margins is E(a,a) + E(b,c) <= 0. The
-    test counts entries in place and copies no table.
-    """
-    tables = energy.tables
-    diagonal = np.diagonal(tables, axis1=1, axis2=2)  # a view, shape (P, Q)
-    if (
-        tol >= 0
-        and np.count_nonzero(tables) == np.count_nonzero(diagonal)
-        and (diagonal <= 0).all()  # False for NaN
-    ):
-        return True, None
+def pair_tables(energy: EnergyGraph) -> np.ndarray:
+    """The explicit (P, Q, Q) pair tables: -weights on the diagonal, 0 off it."""
     q = energy.num_labels
+    tables = np.zeros((energy.num_pairs, q, q))
+    tables[:, np.arange(q), np.arange(q)] = -energy.weights[:, energy.column]
+    return tables
+
+
+def check_pairwise_representable(tables, tol: float = REPRESENTABILITY_TOL):
+    """Verify E(a,a) + E(b,c) <= E(a,c) + E(b,a) + tol for every table and triple.
+
+    ``tables`` has shape (P, Q, Q); tables[p, a, b] is the energy of pair p's
+    first site taking label a+1 and its second site label b+1. Returns
+    (True, None) or (False, (p, a, b, c)) with the first violating pair
+    index and triple (labels 1-based). Only triples with a != b and a != c
+    are evaluated: for the others both sides are the same two entries, so
+    the margin is 0 exactly, while evaluating it could round above ``tol``.
+    Pairs are checked in chunks whose margin arrays hold about
+    _MARGIN_ELEMENTS entries each.
+    """
+    tables = np.asarray(tables, dtype=np.float64)
+    num_pairs, q = tables.shape[:2]
     a, b, c = np.indices((q, q, q)).reshape(3, -1)
     keep = (a != b) & (a != c)
     a, b, c = a[keep], b[keep], c[keep]
     if not len(a):
         return True, None
-    flat = tables.reshape(energy.num_pairs, q * q)
+    flat = tables.reshape(num_pairs, q * q)
     step = max(1, _MARGIN_ELEMENTS // len(a))
-    for start in range(0, energy.num_pairs, step):
+    for start in range(0, num_pairs, step):
         chunk = flat[start : start + step]
         # margin[p, t] = E(a,a) + E(b,c) - E(a,c) - E(b,a) for triple t
         margin = (
@@ -234,9 +247,7 @@ def check_pairwise_representable(
         bad = np.argwhere(margin > tol)
         if len(bad):
             p, t = (int(v) for v in bad[0])
-            p += start
-            labels = (int(a[t]) + 1, int(b[t]) + 1, int(c[t]) + 1)
-            return False, (int(energy.pair_i[p]), int(energy.pair_j[p]), *labels)
+            return False, (p + start, int(a[t]) + 1, int(b[t]) + 1, int(c[t]) + 1)
     return True, None
 
 
@@ -264,8 +275,10 @@ def _chunk_energies(energy: EnergyGraph, start: int, stop: int) -> tuple[np.ndar
     e = np.zeros(stop - start)
     for k in range(u):
         e += energy.unary[k, digits[:, k]]
+    diag = -energy.weights[:, energy.column]  # (P, Q): each pair's E(a, a)
     for r in range(energy.num_pairs):
-        e += energy.tables[r, digits[:, energy.pair_i[r]], digits[:, energy.pair_j[r]]]
+        di, dj = digits[:, energy.pair_i[r]], digits[:, energy.pair_j[r]]
+        e += np.where(di == dj, diag[r, di], 0.0)
     return digits, e
 
 

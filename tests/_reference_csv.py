@@ -58,6 +58,12 @@ def _covariate_matrix(path, header, rows, cols):
     if not np.all(np.isfinite(covs)):
         bad = int(np.argwhere(~np.isfinite(covs))[0][0])
         raise ValueError(f"{path} row {rows[bad][0]}: non-finite covariate value")
+    for (line_no, _), row in zip(rows, covs.tolist()):
+        if 8.0 * sum(v * v for v in row) == float("inf"):
+            raise ValueError(
+                f"{path} row {line_no}: covariates too large, "
+                "8 |x|^2 overflows float64 in squared distances"
+            )
     return covs
 
 

@@ -3,14 +3,16 @@
 This is the straightforward form of ``coxcut.build_energy``: it evaluates
 ``Kernel.gram`` on the unlabeled sites once per class, fills a table for
 all U(U-1)/2 pairs from ``np.triu_indices`` and only then drops the pairs
-whose entries all lie below the cutoff. ``build_energy`` evaluates one gram
-per distinct kernel and fills only the kept pairs; tests require both to
-give bit-identical energies.
+whose entries all lie below the cutoff. It returns the explicit (P, Q, Q)
+tables. ``build_energy`` evaluates one gram per distinct kernel and stores
+one weight column per kernel for the kept pairs only; tests require its
+``pair_tables`` to be bit-identical to these tables.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from coxcut import EnergyGraph
 from coxcut.mrf import PAIR_CUTOFF
 
 
@@ -43,4 +45,4 @@ def build_energy_reference(models, labeled, unlabeled, cutoff=PAIR_CUTOFF):
     if cutoff is not None and len(pi):
         keep = np.abs(tables).max(axis=(1, 2)) >= cutoff
         pi, pj, tables = pi[keep], pj[keep], tables[keep]
-    return EnergyGraph(unary, pi, pj, tables, constant)
+    return SimpleNamespace(unary=unary, pair_i=pi, pair_j=pj, tables=tables, constant=constant)

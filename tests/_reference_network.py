@@ -9,19 +9,21 @@ so every pair adds C - A to the terminal arc of its lower site and D - C to
 that of its higher one, plus one one-way arc of capacity B + C - A - D.
 Max flow then has to push every coupling through the terminals. Its
 quantization is the same, so for every labeling its cut plus offset equals
-that of ``build_flow_network``; tests compare the two networks cut by cut
-and the labelings their minimum cuts give.
+that of ``build_flow_network``; tests hand it the table form of the same
+energy (``_reference_fold.table_energy``) and compare the two networks cut
+by cut and the labelings their minimum cuts give.
 """
 
 import math
 
 import numpy as np
 
+from _reference_fold import TableEnergy
 from coxcut.mincut import _INT_HEADROOM_BITS, _MAX_QUANT_BITS, FlowNetwork, QuantizationRecord
-from coxcut.mrf import REPRESENTABILITY_TOL, EnergyGraph
+from coxcut.mrf import REPRESENTABILITY_TOL
 
 
-def build_flow_network_reference(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRecord]:
+def build_flow_network_reference(energy: TableEnergy) -> tuple[FlowNetwork, QuantizationRecord]:
     """Reduce a binary energy to a flow network with integer capacities.
 
     Sites are nodes 0..U-1, the source is node U, the sink node U+1. For

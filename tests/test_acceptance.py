@@ -36,6 +36,7 @@ from coxcut import (
     loo_cv,
     max_flow,
     node_balances,
+    pair_tables,
     partition,
     predict_labels,
     predict_proba_batch,
@@ -81,7 +82,7 @@ def test_02_pairwise_representability_and_adversarial_tables():
     for _ in range(1000):
         q = int(rng.integers(2, 5))
         *_, energy = random_ssl_instance(rng, q=q, max_unlabeled=8)
-        ok, witness = check_pairwise_representable(energy)
+        ok, witness = check_pairwise_representable(pair_tables(energy))
         assert ok and witness is None
     # adversarial: perturb one pairwise table so some triple violates
     detected = 0
@@ -96,16 +97,14 @@ def test_02_pairwise_representability_and_adversarial_tables():
         c = int(rng.integers(0, q))
         while c == a:
             c = int(rng.integers(0, q))
-        tables = energy.tables.copy()
+        tables = pair_tables(energy)
         # a deep off-diagonal valley breaks E(a,a) + E(b,c) <= E(a,c) + E(b,a)
         tables[p, a, c] = -10.0
-        bad = type(energy)(energy.unary, energy.pair_i, energy.pair_j, tables, energy.constant)
-        ok, witness = check_pairwise_representable(bad)
+        ok, witness = check_pairwise_representable(tables)
         assert not ok and witness is not None
-        j, k, wa, wb, wc = witness
-        pos = np.flatnonzero((bad.pair_i == j) & (bad.pair_j == k))
-        assert len(pos) == 1
-        t = bad.tables[int(pos[0])]
+        wp, wa, wb, wc = witness
+        assert wp == p  # the other tables are the energy's own, all representable
+        t = tables[wp]
         assert t[wa - 1, wa - 1] + t[wb - 1, wc - 1] > t[wa - 1, wc - 1] + t[wb - 1, wa - 1] + 1e-9
         detected += 1
     assert detected == 100

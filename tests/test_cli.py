@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coxcut
+from _reference_energy import build_energy_reference
 from coxcut import Dataset, load_csv, save_csv
 from coxcut.cli import run
 from coxcut.cv import MAX_LOO_POINTS
@@ -407,6 +408,30 @@ class TestOverflowingMagnitudes:
         assert "nan" not in out.read_text().lower()
 
 
+class TestHugeCovariates:
+    """Covariates whose squared distances would overflow float64 (|x| past about 5e153)."""
+
+    @pytest.mark.parametrize("command", ["fit --grid", "fit", "ssl"])
+    def test_refused_with_one_line_and_no_warning(self, tmp_path, command):
+        data = tmp_path / "big.csv"
+        data.write_text("x1,label\n1e200,1\n0,2\n1,1\n2e200,2\n3,\n")
+        out = tmp_path / "out.csv"
+        argv = {
+            "fit --grid": ["fit", "--train", str(data), "--grid", "1,2"],
+            "fit": ["fit", "--train", str(data)],
+            "ssl": ["ssl", "--data", str(data), "--lengthscale", "1", "--out", str(out)],
+        }[command]
+        # a separate process, so that a warning printed on the way fails the test
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"coxcut: error: {data} row 2: covariates too large, "
+            "8 |x|^2 overflows float64 in squared distances"
+        ]
+        assert not out.exists()
+
+
 class TestFit:
     def test_loo_table_and_best(self, tmp_path, capsys):
         data = _gen_circles(tmp_path, capsys)
@@ -470,6 +495,31 @@ class TestEnergyDump:
         pair = payload["pairs"][0]
         assert set(pair) == {"i", "j", "table"}
         assert len(pair["table"]) == 2
+
+    @pytest.mark.parametrize("radii, ls", [("1,4", "50"), ("1,2,3", "0.1")])
+    def test_file_matches_the_table_form_reference_byte_for_byte(self, tmp_path, capsys,
+                                                                radii, ls):
+        # Q=2 with every pair kept, then Q=3 with a length scale that drops some
+        data = tmp_path / "data.csv"
+        _run(capsys, "gen", "--shape", "circles", "--radii", radii, "--n-per-class", "12",
+             "--noise", "0.05", "--seed", "3", "--labeled-per-class", "3", "--out", str(data))
+        dump = tmp_path / "energy.json"
+        code, *_ = _run(capsys, "energy", "--data", str(data), "--kernel", "exp",
+                        "--lengthscale", ls, "--dump", str(dump))
+        assert code == 0
+        ds = load_csv(data)
+        models = coxcut.shared_models(ds.num_classes, Kernel("exp", 1.0, float(ls)))
+        labeled = Dataset(*ds.labeled(), ds.num_classes)
+        ref = build_energy_reference(models, labeled, ds.unlabeled_points())
+        payload = {
+            "num_sites": len(ref.unary),
+            "num_labels": ds.num_classes,
+            "constant": ref.constant,
+            "unary": ref.unary.tolist(),
+            "pairs": [{"i": int(i), "j": int(j), "table": t.tolist()}
+                      for i, j, t in zip(ref.pair_i, ref.pair_j, ref.tables)],
+        }
+        assert dump.read_text() == json.dumps(payload, indent=1)
 
 
 class TestBench:

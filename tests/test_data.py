@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from _reference_csv import load_covariates_reference, load_csv_reference
 from coxcut import (
     Dataset,
+    Kernel,
     gen_concentric_circles,
     gen_double_helix,
     load_covariates,
@@ -17,6 +18,7 @@ from coxcut import (
     partition,
     save_csv,
 )
+from coxcut.kernels import sym_sq_dists
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -152,6 +154,11 @@ def _datasets(draw):
     return Dataset(x, y, q)
 
 
+def _too_large(x):
+    """Some row's 8 |x|^2 overflows float64, which the loaders refuse."""
+    return any(8.0 * sum(v * v for v in row) == float("inf") for row in x.tolist())
+
+
 def _saved(ds, directory, comments=None):
     path = os.path.join(directory, "ds.csv")
     save_csv(ds, path, comments)
@@ -175,7 +182,12 @@ class TestCsvProperties:
     @given(ds=_datasets(), comments=_single_line_comments)
     def test_save_load_round_trips_exactly(self, ds, comments):
         with tempfile.TemporaryDirectory() as d:
-            back = load_csv(_saved(ds, d, comments), num_classes=ds.num_classes)
+            path = _saved(ds, d, comments)
+            if _too_large(ds.covariates):
+                with pytest.raises(ValueError, match=r"row \d+: covariates too large"):
+                    load_csv(path, num_classes=ds.num_classes)
+                return
+            back = load_csv(path, num_classes=ds.num_classes)
         assert back.covariates.shape == ds.covariates.shape
         assert back.covariates.tobytes() == ds.covariates.tobytes()  # bit-exact, -0.0 included
         assert np.array_equal(back.labels, ds.labels)
@@ -185,6 +197,11 @@ class TestCsvProperties:
     def test_covariate_loader_matches_load_csv(self, ds):
         with tempfile.TemporaryDirectory() as d:
             path = _saved(ds, d)
+            if _too_large(ds.covariates):
+                expected = _outcome(load_csv, path, num_classes=ds.num_classes)
+                assert expected[0] is ValueError
+                assert _outcome(load_covariates, path) == expected
+                return
             x = load_covariates(path)
             expected = load_csv(path, num_classes=ds.num_classes).covariates
         assert x.shape == expected.shape
@@ -219,6 +236,8 @@ _READER_CASES = {
     "covariate error after a label error": "x1,label\n1,abc\nzz,2\n",
     "non-finite after a label error": "x1,label\n1,0\nnan,2\n",
     "non-finite": "x1,label\n1,1\ninf,2\n",
+    "covariates too large": "x1,x2,label\n1,2,1\n3e153,3e153,2\n5e153,0,1\n",
+    "too large after a label error": "x1,label\n1,0\n-5e153,2\n",
     "label below one": "x1,label\n1,1\n2,-3\n",
     "non-integer label": "x1,label\n1,1\n2,1.5\n",
     "label above the override": "x1,label\n1,1\n2,3\n",
@@ -282,6 +301,29 @@ class TestLoadCovariates:
     def test_files_without_covariates_rejected(self, tmp_path, text, match):
         with pytest.raises(ValueError, match=match):
             load_covariates(_write(tmp_path, text))
+
+
+class TestCovariateMagnitude:
+    """Rows whose 8 |x|^2 overflows float64 are refused before any distance is formed."""
+
+    def test_both_loaders_name_the_file_and_row(self, tmp_path):
+        path = _write(tmp_path, "x1,label\n1e200,1\n0,2\n1,1\n2e200,2\n")
+        message = (f"{path} row 2: covariates too large, "
+                   "8 |x|^2 overflows float64 in squared distances")
+        for load in (load_csv, load_covariates):
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == message
+
+    def test_bound_is_on_the_row_norm(self, tmp_path):
+        # 4e153 alone passes (8 * 1.6e307 < 1.8e308); two of them in one row do not
+        one = load_csv(_write(tmp_path, "x1,label\n4e153,1\n-4e153,2\n0,1\n"))
+        with pytest.raises(ValueError, match="row 3: covariates too large"):
+            load_csv(_write(tmp_path, "x1,x2,label\n4e153,0,1\n4e153,4e153,2\n", "b.csv"))
+        # accepted rows never overflow the distances (a RuntimeWarning fails the test)
+        d2 = sym_sq_dists(one.covariates)
+        assert np.isfinite(d2).all() and d2[0, 1] == 6.4e307
+        assert np.isfinite(Kernel("se", 1.0, 1.0).gram(one.covariates)).all()
 
 
 class TestDatasetInvariants:

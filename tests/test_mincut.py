@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import _reference_expansion
 from _instances import random_ssl_instance
 from _reference_flow import reference_max_flow
+from _reference_fold import binary_map_folded, build_flow_network_folded, table_energy
 from _reference_network import build_flow_network_reference
 from coxcut import (
+    ClassModel,
     EnergyGraph,
     FlowNetwork,
     Kernel,
+    alpha_expansion,
     binary_map,
     brute_force_map,
     build_energy,
@@ -29,20 +31,21 @@ from coxcut import (
     partition,
     shared_models,
 )
-from coxcut import mincut
+from coxcut import expansion, mincut
 
 
 def _energy(unary, pairs=None, constant=0.0):
+    """Energy with one weight column per label; pairs are (i, j, weights)."""
     unary = np.asarray(unary, dtype=float)
     q = unary.shape[1]
     if pairs:
         pi = np.array([p[0] for p in pairs])
         pj = np.array([p[1] for p in pairs])
-        tables = np.array([p[2] for p in pairs], dtype=float)
+        weights = np.array([p[2] for p in pairs], dtype=float)
     else:
         pi = pj = np.empty(0, dtype=np.int64)
-        tables = np.empty((0, q, q))
-    return EnergyGraph(unary, pi, pj, tables, constant)
+        weights = np.empty((0, q))
+    return EnergyGraph(unary, pi, pj, weights, np.arange(q), constant)
 
 
 class TestRawNetworks:
@@ -423,7 +426,7 @@ class TestStableOrder:
 
 class TestBuildFlowNetwork:
     def test_zero_energy_all_zero_capacities(self):
-        energy = _energy(np.zeros((3, 2)), pairs=[(0, 1, np.zeros((2, 2)))])
+        energy = _energy(np.zeros((3, 2)), pairs=[(0, 1, [0.0, 0.0])])
         net, rec = build_flow_network(energy)
         assert net.arc_cap0.sum() == 0
         flow, _ = max_flow(net)
@@ -439,8 +442,7 @@ class TestBuildFlowNetwork:
 
     def test_cut_costs_enumerate_to_quantized_energy(self):
         # two sites, hand-built: every labeling's cut equals quantized energy - offset
-        table = np.array([[-2.0, 0.0], [0.0, -2.0]])
-        energy = _energy([[0.0, -1.0], [0.0, -1.0]], pairs=[(0, 1, table)])
+        energy = _energy([[0.0, -1.0], [0.0, -1.0]], pairs=[(0, 1, [2.0, 2.0])])
         net, rec = build_flow_network(energy)
         for labs in product([1, 2], repeat=2):
             side = np.array([lab == 1 for lab in labs] + [True, False])
@@ -448,33 +450,26 @@ class TestBuildFlowNetwork:
             true_e = energy_of(energy, list(labs))
             assert abs((cut + rec.offset) / rec.scale - true_e) <= 4 * 0.5 / rec.scale
 
-    def test_representability_violation_names_pair(self):
-        bad = np.array([[-1.0, -3.0], [-3.0, -1.0]])
-        energy = _energy(np.zeros((3, 2)), pairs=[(1, 2, bad)])
-        with pytest.raises(ValueError, match=r"\(1, 2\)"):
-            build_flow_network(energy)
-
     def test_multiclass_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             build_flow_network(_energy(np.zeros((2, 3))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
-        table = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        # a non-finite pair weight never reaches here: EnergyGraph refuses it
         unary = np.zeros((3, 2))
         unary[1, 0] = bad
         with pytest.raises(ValueError, match=r"non-finite unary energy at site 1"):
-            binary_map(_energy(unary, pairs=[(0, 2, table)]))
-        table[1, 0] = bad
-        with pytest.raises(ValueError, match=r"non-finite pairwise energy at sites \(0, 2\)"):
-            binary_map(_energy(np.zeros((3, 2)), pairs=[(0, 1, -np.eye(2)), (0, 2, table)]))
+            binary_map(_energy(unary, pairs=[(0, 2, [1.0, 1.0])]))
 
     def test_shared_kernel_potts_without_unaries_has_no_terminal_arcs(self):
         ds = gen_double_helix(60, 1.0, 1.5, 2.0, 0.04, 5)
         labeled, heldout = partition(ds, 5, 5)
         potts = build_energy(shared_models(2, Kernel("se", 1.0, 0.3)), labeled, heldout.covariates)
         assert potts.num_pairs > 0
-        energy = EnergyGraph(np.zeros_like(potts.unary), potts.pair_i, potts.pair_j, potts.tables)
+        energy = EnergyGraph(
+            np.zeros_like(potts.unary), potts.pair_i, potts.pair_j, potts.weights, potts.column
+        )
         net, rec = build_flow_network(energy)
         assert not np.isin(net.arc_to, [net.source, net.sink]).any()
         assert len(net.arc_to) == 2 * potts.num_pairs  # one arc pair per kept pair
@@ -545,27 +540,24 @@ class TestQuantizationSoundness:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_cut_plus_offset_is_the_quantized_energy(self, data):
-        # dyadic entries make every a + d <= b + c test exact
+        # dyadic entries keep the sums exact
         unit = 2.0 ** data.draw(st.integers(-20, 20))
         value = st.integers(-64, 64).map(lambda k: k / 8 * unit)
+        weight = st.integers(0, 64).map(lambda k: k / 8 * unit)
         u = data.draw(st.integers(1, 8))
         unary = np.array(data.draw(st.lists(st.tuples(value, value), min_size=u, max_size=u)))
         site_pairs = list(combinations(range(u), 2))
         chosen = data.draw(st.lists(st.sampled_from(site_pairs), unique=True)) if site_pairs else []
-        pairs = []
-        for i, j in chosen:
-            a, b, c, d = data.draw(st.tuples(value, value, value, value))
-            # swapping the diagonal with the off-diagonal turns a violating table representable
-            pairs.append((i, j, [[a, b], [c, d]] if a + d <= b + c else [[b, a], [d, c]]))
+        pairs = [(i, j, data.draw(st.tuples(weight, weight))) for i, j in chosen]
         energy = _energy(unary, pairs)
         net, rec = build_flow_network(energy)
 
-        # the quantization rules of build_flow_network, term by term
+        # the quantization rules of build_flow_network, term by term: E(a, a)
+        # = -w rounded down, 0 off the diagonal
         qu = np.rint(energy.unary * rec.scale).astype(np.int64)
-        qt = np.empty(energy.tables.shape, dtype=np.int64)
+        qt = np.zeros((energy.num_pairs, 2, 2), dtype=np.int64)
         for a in (0, 1):
-            qt[:, a, a] = np.floor(energy.tables[:, a, a] * rec.scale)
-            qt[:, a, 1 - a] = np.ceil(energy.tables[:, a, 1 - a] * rec.scale)
+            qt[:, a, a] = np.floor(-energy.weights[:, a] * rec.scale)
         for labs in product([0, 1], repeat=u):
             quantized = sum(int(qu[k, x]) for k, x in enumerate(labs))
             quantized += sum(int(qt[p, labs[i], labs[j]]) for p, (i, j) in enumerate(chosen))
@@ -591,19 +583,26 @@ def _kernel_energies():
             models = shared_models(2, Kernel("se", 0.25, ls))
             energy = build_energy(models, labeled, heldout.covariates)
             out.append((f"circles{seed} ls={ls}", energy))
-    # the binary sub-energies over all sites that the reference expansion
-    # moves hand to the min-cut solver (the reduced moves cut fewer sites)
-    for radii, n_per_class in [((1.0, 4.0, 7.0), 70), ((1.0, 3.0, 5.0, 7.0), 50)]:
+    # the binary sub-energies that expansion moves hand to the min-cut
+    # solver, over the sites not already at the move's label
+    for radii, n_per_class in [((1.0, 4.0, 7.0), 100), ((1.0, 3.0, 5.0, 7.0), 70)]:
         q = len(radii)
         ds = gen_concentric_circles(n_per_class, radii, 0.08, q)
         labeled, heldout = partition(ds, 8, q)
         full = build_energy(shared_models(q, Kernel("se", 0.25, 1.0)), labeled, heldout.covariates)
-        subs = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_reference_expansion, "binary_map", lambda e: subs.append(e) or binary_map(e))
-            _reference_expansion.alpha_expansion_reference(full, np.argmin(full.unary, axis=1) + 1)
-        out += [(f"expansion Q={q} move {k}", e) for k, e in enumerate(subs[:5])]
+        subs = _expansion_sub_energies(full, np.argmin(full.unary, axis=1) + 1)
+        moves = [(f"expansion Q={q} move {k}", e) for k, e in enumerate(subs)]
+        out += [(name, e) for name, e in moves if e.num_sites >= 150][:5]
     return out
+
+
+def _expansion_sub_energies(energy, init):
+    """Every binary sub-energy that alpha_expansion cuts from ``init``."""
+    subs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "binary_map", lambda e: subs.append(e) or binary_map(e))
+        alpha_expansion(energy, init)
+    return subs
 
 
 class TestAgainstReferenceSolver:
@@ -628,15 +627,15 @@ class TestAgainstReferenceSolver:
             assert energy_of(energy, labels) == energy_of(energy, ref_labels), name
 
 
-def _asymmetric_energy(rng, u):
-    """Random binary energy with representable tables, often with b < a or c < d."""
+def _random_weight_energy(rng, u):
+    """Random binary energy whose pairs weigh the two labels differently.
+
+    w1 != w2 puts a term on the terminal arc of each pair's first site; a
+    fifth of the weights are 0.
+    """
     unary = rng.normal(0.0, 1.0, (u, 2))
-    pairs = []
-    for i, j in combinations(range(u), 2):
-        if rng.random() < 0.6:
-            a, b, d = rng.normal(0.0, 1.0, 3)
-            c = a + d - b + abs(rng.normal(0.0, 1.0))  # slack b + c - a - d > 0
-            pairs.append((i, j, [[a, b], [c, d]]))
+    pairs = [(i, j, rng.exponential(1.0, 2) * (rng.random(2) < 0.8))
+             for i, j in combinations(range(u), 2) if rng.random() < 0.6]
     return _energy(unary, pairs)
 
 
@@ -651,15 +650,15 @@ class TestAgainstReferenceNetwork:
 
     def test_cut_plus_offset_matches_reference_on_every_labeling(self):
         rng = np.random.default_rng(11)
-        # build_energy's tables (per-class kernels make them asymmetric), then
-        # tables with B' < 0 or C' < 0, which build_energy never produces
+        # build_energy's energies (per-class kernels weigh the labels
+        # differently), then random weights
         instances = [random_ssl_instance(rng, q=2, max_unlabeled=8)[-1] for _ in range(20)]
-        instances += [_asymmetric_energy(rng, int(rng.integers(2, 9))) for _ in range(30)]
-        t = np.concatenate([e.tables for e in instances])
-        assert np.sum(t[:, 0, 1] < t[:, 0, 0]) > 20 and np.sum(t[:, 1, 0] < t[:, 1, 1]) > 20
+        instances += [_random_weight_energy(rng, int(rng.integers(2, 9))) for _ in range(30)]
+        w = np.concatenate([e.weights[:, e.column] for e in instances])
+        assert np.sum(w[:, 0] != w[:, 1]) > 100
         for energy in instances:
             net, rec = build_flow_network(energy)
-            ref, ref_rec = build_flow_network_reference(energy)
+            ref, ref_rec = build_flow_network_reference(table_energy(energy))
             assert (rec.scale, rec.bits) == (ref_rec.scale, ref_rec.bits)
             u = energy.num_sites
             for labs in product([True, False], repeat=u):
@@ -674,7 +673,7 @@ class TestAgainstReferenceNetwork:
     def test_binary_map_matches_reference_on_kernel_energies(self):
         for name, energy in _kernel_energies():
             net, rec = build_flow_network(energy)
-            ref, ref_rec = build_flow_network_reference(energy)
+            ref, ref_rec = build_flow_network_reference(table_energy(energy))
             assert _pair_arcs(net) == _pair_arcs(ref), name  # one arc pair per kept pair
             flow, side = max_flow(net)
             ref_flow, ref_side = max_flow(ref)
@@ -682,3 +681,59 @@ class TestAgainstReferenceNetwork:
             assert np.array_equal(side, ref_side), name
             ref_labels = mincut._flip_polish(energy, np.where(ref_side[: energy.num_sites], 1, 2))
             assert np.array_equal(binary_map(energy), ref_labels), name
+
+
+def _assert_same_network(energy, name=""):
+    """build_flow_network against the table-form reduction with the fold, bit for bit."""
+    net, rec = build_flow_network(energy)
+    ref, ref_rec = build_flow_network_folded(table_energy(energy))
+    assert net.num_nodes == ref.num_nodes, name
+    assert net.arc_to.tobytes() == ref.arc_to.tobytes(), name
+    assert net.arc_cap.tobytes() == ref.arc_cap.tobytes(), name
+    assert net.arc_cap0.tobytes() == ref.arc_cap0.tobytes(), name
+    assert (rec.scale, rec.bits, rec.offset) == (ref_rec.scale, ref_rec.bits, ref_rec.offset), name
+
+
+def _per_class_models(q, length_scale):
+    return [ClassModel(0.1 * a, Kernel("exp" if a % 2 else "se", 0.25 + 0.1 * a,
+                                       length_scale * (1 + a / 3))) for a in range(q)]
+
+
+class TestAgainstFoldedNetwork:
+    """Potts weights against the earlier reduction of general 2x2 tables."""
+
+    def test_binary_build_energy_networks(self):
+        rng = np.random.default_rng(41)
+        instances = [random_ssl_instance(rng, q=2, max_unlabeled=30, shared_kernel=shared)[-1]
+                     for shared in (True, False) * 30]
+        instances += [e for _, e in _kernel_energies()[:10]]
+        ds = gen_double_helix(120, 1.0, 1.5, 2.0, 0.04, 6)
+        labeled, heldout = partition(ds, 10, 6)
+        instances.append(build_energy(_per_class_models(2, 0.2), labeled, heldout.covariates))
+        assert sum(len(np.unique(e.column)) == 2 for e in instances) > 30
+        for energy in instances:
+            _assert_same_network(energy)
+            labels = binary_map(energy)
+            assert np.array_equal(labels, binary_map_folded(table_energy(energy)))
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_every_expansion_sub_energy(self, q):
+        rng = np.random.default_rng(40 + q)
+        cases = []
+        for shared in (True, False) * 10:
+            *_, energy = random_ssl_instance(rng, q=q, max_unlabeled=30, shared_kernel=shared)
+            cases.append((energy, rng.integers(1, q + 1, energy.num_sites)))
+        radii = (1.0, 2.0, 3.0, 4.0)[:q]
+        ds = gen_concentric_circles(60, radii, 0.1, q)
+        labeled, heldout = partition(ds, 8, q)
+        for models in (shared_models(q, Kernel("se", 1.0, 0.3)), _per_class_models(q, 0.3)):
+            energy = build_energy(models, labeled, heldout.covariates)
+            cases.append((energy, np.argmin(energy.unary, axis=1) + 1))
+        checked = 0
+        for energy, init in cases:
+            for k, sub in enumerate(_expansion_sub_energies(energy, init)):
+                _assert_same_network(sub, f"move {k}")
+                labels = binary_map(sub)
+                assert np.array_equal(labels, binary_map_folded(table_energy(sub)))
+                checked += sub.num_pairs > 0
+        assert checked > 60
