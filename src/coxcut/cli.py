@@ -7,7 +7,6 @@ subcommand flows from its --seed flag.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -25,6 +24,7 @@ from .data import (
     load_csv,
     save_csv,
     stratified_mask,
+    write_csv,
 )
 from .expansion import ssl_solve
 from .kernels import Kernel
@@ -80,19 +80,6 @@ def _r(v) -> str:
     return repr(float(v))
 
 
-def _write_rows(path, header, rows, comments=()):
-    out = open(path, "w", newline="", encoding="utf-8") if path and path != "-" else sys.stdout
-    try:
-        for line in comments:
-            out.write(f"# {line}\n")
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
 def _cmd_gen(args) -> int:
     if args.shape == "circles":
         ds = gen_concentric_circles(args.n_per_class, _floats(args.radii), args.noise, args.seed)
@@ -119,12 +106,12 @@ def _cmd_simulate(args) -> int:
     field = sample_gp_field(args.mean, _kernel_from(args), window, args.seed)
     points = sample_poisson_points(field, args.seed + 1)
     coord_names = [f"x{i + 1}" for i in range(d)]
-    _write_rows(
+    write_csv(
         args.out_field,
         coord_names + ["intensity"],
         [[_r(v) for v in c] + [_r(i)] for c, i in zip(field.centers, field.intensity)],
     )
-    _write_rows(args.out_points, coord_names, [[_r(v) for v in p] for p in points])
+    write_csv(args.out_points, coord_names, [[_r(v) for v in p] for p in points])
     return 0
 
 
@@ -145,7 +132,7 @@ def _cmd_fit(args) -> int:
         )
     else:
         best, table = loo_cv(labeled, args.kernel, grid)
-    _write_rows(args.out, ["lengthscale", "error"], [[_r(a), _r(b)] for a, b in table])
+    write_csv(args.out, ["lengthscale", "error"], [[_r(a), _r(b)] for a, b in table])
     print(f"best_lengthscale={_r(best)}")
     return 0
 
@@ -160,7 +147,7 @@ def _cmd_predict(args) -> int:
     labels = predict_labels(probs)
     header = [f"prob_{i + 1}" for i in range(train.num_classes)] + ["label"]
     rows = [[*map(repr, p), str(lab)] for p, lab in zip(probs.tolist(), labels.tolist())]
-    _write_rows(args.out, header, rows)
+    write_csv(args.out, header, rows)
     return 0
 
 
@@ -202,10 +189,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def bench_prediction(
-    sizes=BENCH_SIZES, n_test: int = 512, repeats: int = 9, seed: int = 0, kernel_family: str = "se"
-):
-    """Per-test-point prediction time against training-set size.
+def bench_prediction(sizes=BENCH_SIZES, n_test: int = 512, repeats: int = 9, seed: int = 0):
+    """Per-test-point prediction time of a unit se kernel against training-set size.
 
     Repeats are interleaved across sizes (round robin, minimum kept) so slow
     machine-load drift cannot tilt the fitted slope. Returns
@@ -220,7 +205,7 @@ def bench_prediction(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
-    kern = Kernel(kernel_family, 1.0, 1.0)
+    kern = Kernel("se", 1.0, 1.0)
     setups = []
     for n in sizes:
         half = n // 2
@@ -249,10 +234,7 @@ def bench_prediction(
 def _cmd_bench(args) -> int:
     sizes = tuple(int(v) for v in args.sizes.split(","))
     rows, exponent = bench_prediction(sizes, args.test_points, args.repeats, args.seed)
-    w = csv.writer(sys.stdout)
-    w.writerow(["n_train", "seconds_per_test_point"])
-    for n, t in rows:
-        w.writerow([n, _r(t)])
+    write_csv(None, ["n_train", "seconds_per_test_point"], [[n, _r(t)] for n, t in rows])
     print(f"exponent={exponent:.4f}")
     return 0
 

@@ -26,18 +26,22 @@ _LOO_STRIP = 2**16  # elements per leave-one-out kernel strip (512 KB of float64
 _MEDIAN_SAMPLE = 2**14  # matrix entries whose order statistics bracket the median
 
 
-def default_lengthscale_grid(covariates, size: int = GRID_SIZE, seed: int = 0) -> np.ndarray:
-    """Log-spaced grid spanning GRID_SPAN times the median pairwise distance.
+def default_lengthscale_grid(covariates, seed: int = 0) -> np.ndarray:
+    """Log-spaced grid of GRID_SIZE values spanning GRID_SPAN times the median pairwise distance.
 
     Above _MEDIAN_SUBSAMPLE points the median is taken over a random sample
     of that many points.
     """
+    return _grid_around(_sampled_median(covariates, seed))
+
+
+def _sampled_median(covariates, seed: int = 0) -> float:
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if len(x) > _MEDIAN_SUBSAMPLE:
         x = x[np.random.default_rng(seed).permutation(len(x))[:_MEDIAN_SUBSAMPLE]]
-    return _grid_around(_median_distance(sym_sq_dists(x)), size)
+    return _median_distance(sym_sq_dists(x))
 
 
 def _median_distance(d2: np.ndarray) -> float:
@@ -146,10 +150,10 @@ def _upper_strips(d2, rows, corners):
     yield corners
 
 
-def _grid_around(med: float, size: int) -> np.ndarray:
+def _grid_around(med: float) -> np.ndarray:
     if not med > 0:
         med = 1.0
-    return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, size)
+    return np.geomspace(GRID_SPAN[0] * med, GRID_SPAN[1] * med, GRID_SIZE)
 
 
 def _validated_grid(grid) -> np.ndarray:
@@ -161,9 +165,20 @@ def _validated_grid(grid) -> np.ndarray:
     return g
 
 
-def _grid_kernels(kernel_family: str, grid: np.ndarray) -> list[Kernel]:
-    # built before any work, so a bad value anywhere in the grid fails at once
-    return [Kernel(kernel_family, 1.0, float(ls)) for ls in grid]
+def _grid_kernels(kernel_family: str, grid: np.ndarray, median=None) -> list[Kernel]:
+    # built before any work, so a bad value anywhere in the grid fails at once; a
+    # value of an automatic grid (``median`` given) is one the user never passed
+    Kernel(kernel_family)  # an unknown family is reported as such
+    try:
+        return [Kernel(kernel_family, 1.0, float(ls)) for ls in grid]
+    except ValueError:
+        if median is None:
+            raise
+        raise ValueError(
+            f"the automatic length-scale grid, {GRID_SPAN[0]:g} to {GRID_SPAN[1]:g} times the "
+            f"median pairwise distance {median!r}, is out of range for the {kernel_family} "
+            "kernel; pass --grid"
+        ) from None
 
 
 def _best(grid: np.ndarray, errors: np.ndarray) -> float:
@@ -200,15 +215,16 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
             f"({8 * n * n / 1e9:.1f} GB); above {MAX_LOO_POINTS} points, "
             "subsample with --cv-subsample"
         )
-    d2 = None
+    d2 = median = None
     if grid is None:
         if n <= _MEDIAN_SUBSAMPLE:  # the median's sample is every point
             d2 = sym_sq_dists(x)
-            grid = _grid_around(_median_distance(d2), GRID_SIZE)
+            median = _median_distance(d2)
         else:
-            grid = default_lengthscale_grid(x)
+            median = _sampled_median(x)
+        grid = _grid_around(median)
     grid = _validated_grid(grid)
-    kernels = _grid_kernels(kernel_family, grid)
+    kernels = _grid_kernels(kernel_family, grid, median)
     if d2 is None:
         d2 = sym_sq_dists(x)
     q = train.num_classes
@@ -250,10 +266,12 @@ def kfold_cv_ssl(
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
         x_u = x_u[:, None]
+    median = None
     if grid is None:
-        grid = default_lengthscale_grid(np.vstack([x, x_u]) if len(x_u) else x)
+        median = _sampled_median(np.vstack([x, x_u]) if len(x_u) else x)
+        grid = _grid_around(median)
     grid = _validated_grid(grid)
-    kernels = _grid_kernels(kernel_family, grid)
+    kernels = _grid_kernels(kernel_family, grid, median)
     q = labeled.num_classes
 
     rng = np.random.default_rng(seed)

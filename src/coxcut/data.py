@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +74,6 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         """Number of labeled rows per class, shape (num_classes,)."""
         return np.bincount(self.labels, minlength=self.num_classes + 1)[1:]
-
-    @classmethod
-    def empty(cls, dim: int, num_classes: int) -> "Dataset":
-        return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), num_classes)
 
 
 def _shown(text: str) -> str:
@@ -152,8 +150,8 @@ def _covariate_matrix(path, header, rows, line_nos, cols) -> np.ndarray:
     if not np.all(np.isfinite(covs)):
         bad = int(np.argwhere(~np.isfinite(covs))[0][0])
         raise ValueError(f"{path} row {line_nos[bad]}: non-finite covariate value")
-    # A squared distance (|a| + |b|)^2 between two rows is below 4 max |x|^2,
-    # and kernels.sym_sq_dists adds two of them before halving.
+    # A squared distance (|a| + |b|)^2 between two rows is below 4 max |x|^2;
+    # the bound keeps a factor of 2 in hand for rounding in kernels._sq_dists.
     with np.errstate(over="ignore"):
         big = np.flatnonzero(8.0 * np.square(covs).sum(axis=1) == np.inf)
     if len(big):
@@ -229,27 +227,34 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
     return Dataset(covs, labels, q)
 
 
-def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
-    """Write a dataset as CSV (columns x1..xD then ``label``; round-trips exactly).
+def write_csv(path, header, rows, comments=()) -> None:
+    """Write ``header`` then ``rows`` as CSV to ``path``, or to stdout if it is None or '-'.
 
-    Each comment is written as one ``# `` line, so it may not contain a line
-    break. Comments are checked and encoded before the file is opened, so a
-    bad comment leaves no file behind.
+    Rows end in CRLF, the csv module's default. Each comment is one ``# `` line
+    before the header, so it may not contain a line break. Comments are
+    checked and encoded before the file is opened, so a bad one leaves no file.
     """
-    for line in comments or []:
+    for line in comments:
         if "\n" in line or "\r" in line:
             raise ValueError(f"comment {line!r} contains a line break")
-    preamble = "".join(f"# {line}\n" for line in comments or [])
+    preamble = "".join(f"# {line}\n" for line in comments)
     preamble.encode("utf-8")  # raises UnicodeEncodeError, e.g. on a lone surrogate
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    to_file = path and path != "-"
+    sink = open(path, "w", newline="", encoding="utf-8") if to_file else nullcontext(sys.stdout)
+    with sink as fh:
         fh.write(preamble)
         w = csv.writer(fh)
-        w.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["label"])
-        # repr() of a Python float is the shortest exact round-trip form
-        w.writerows(
-            [*map(repr, row), str(lab) if lab else ""]
-            for row, lab in zip(dataset.covariates.tolist(), dataset.labels.tolist())
-        )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
+    """Write a dataset with ``write_csv``: columns x1..xD then ``label``; round-trips exactly."""
+    header = [f"x{i + 1}" for i in range(dataset.dim)] + ["label"]
+    rows = zip(dataset.covariates.tolist(), dataset.labels.tolist())
+    # repr() of a Python float is the shortest exact round-trip form
+    write_csv(path, header, ([*map(repr, x), str(lab) if lab else ""] for x, lab in rows),
+              comments or ())
 
 
 def _check_class_size(n_per_class: int) -> None:

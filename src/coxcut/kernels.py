@@ -16,7 +16,7 @@ _EXP_ZERO, where np.exp gives 0 as well, and exps the others between
 _EXP_ZERO and _EXP_FAST_MIN on their own, so the rest of the chunk stays on
 the vector path. Results stay bit-identical to one np.exp over the whole
 matrix. Squared distances are (|a|^2 + |b|^2) - 2 a.b, clamped at 0, and
-are written into the caller's buffer.
+are written into the caller's buffer, exactly symmetric within one point set.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _FAMILIES = {
 
 _SUM_TILE = 512  # training points per row_sums tile
 _CHUNK = 16384  # elements per in-place evaluation chunk (128 KB of float64)
-_SYM_BLOCK = 128  # side of the square blocks that sym_sq_dists symmetrizes
 _EXP_FAST_MIN = -707.0  # np.exp stays on its vector path above about this
 _EXP_ZERO = -750.0  # np.exp(x) == 0.0 exactly for every x <= _EXP_ZERO
 
@@ -192,21 +191,14 @@ def _as_points(x) -> np.ndarray:
 def sym_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared distances within one (N, D) point set: exactly symmetric, zero diagonal.
 
-    The distances are symmetrized as 0.5 * (d2 + d2.T) in place, one square
-    block and its mirror at a time, so no transposed n x n copy is made.
+    numpy's x @ x.T on a C-contiguous x computes one triangle (BLAS syrk) and
+    copies it onto the other, and the rest of _sq_dists commutes in i and j,
+    so no symmetrizing pass is needed. numpy sends a strided x to gemm, whose
+    triangles may differ in the last bits, so other layouts are copied first.
     """
-    d2 = _sq_dists(x, x)
-    n = len(x)
-    tmp = np.empty((_SYM_BLOCK, _SYM_BLOCK))
-    for i in range(0, n, _SYM_BLOCK):
-        for j in range(i, n, _SYM_BLOCK):
-            upper = d2[i : i + _SYM_BLOCK, j : j + _SYM_BLOCK]
-            lower = d2[j : j + _SYM_BLOCK, i : i + _SYM_BLOCK]
-            t = tmp[: upper.shape[0], : upper.shape[1]]
-            np.add(upper, lower.T, out=t)
-            np.multiply(t, 0.5, out=t)
-            upper[...] = t
-            lower[...] = t.T
+    x = np.ascontiguousarray(x)
+    aa = np.sum(x * x, axis=1)
+    d2 = _sq_dists(x, x, aa, aa)
     np.fill_diagonal(d2, 0.0)
     return d2
 

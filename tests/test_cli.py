@@ -432,6 +432,42 @@ class TestHugeCovariates:
         assert not out.exists()
 
 
+class TestAutoGridOutOfRange:
+    """Covariates whose automatic grid ends fall outside the se kernel's length scales."""
+
+    @staticmethod
+    def _corners(tmp_path, scale):
+        data = tmp_path / "corners.csv"
+        data.write_text(f"x1,x2,label\n{scale},{scale},1\n-{scale},-{scale},2\n"
+                        f"{scale},-{scale},1\n-{scale},{scale},2\n0,0,\n")
+        return data
+
+    @pytest.mark.parametrize("scale, median", [("3.3e153", "6.6e+153"),
+                                               ("5e-161", "9.99994433575849e-161")])
+    @pytest.mark.parametrize("ssl", [False, True], ids=["loo", "ssl"])
+    def test_se_is_one_line_naming_the_median(self, tmp_path, scale, median, ssl):
+        argv = ["fit", "--train", str(self._corners(tmp_path, scale))]
+        argv += ["--ssl", "--folds", "2"] if ssl else []
+        # a separate process, so that a warning printed on the way fails the test
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "coxcut: error: the automatic length-scale grid, 0.01 to 100 times the median "
+            f"pairwise distance {median}, is out of range for the se kernel; pass --grid"
+        ]
+
+    @pytest.mark.parametrize("scale", ["3.3e153", "5e-161"])
+    @pytest.mark.parametrize("ssl", [False, True], ids=["loo", "ssl"])
+    def test_exp_kernel_runs_cleanly(self, tmp_path, scale, ssl):
+        argv = ["fit", "--train", str(self._corners(tmp_path, scale)), "--kernel", "exp"]
+        argv += ["--ssl", "--folds", "2"] if ssl else []
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.splitlines()[-1].startswith("best_lengthscale=")
+
+
 class TestFit:
     def test_loo_table_and_best(self, tmp_path, capsys):
         data = _gen_circles(tmp_path, capsys)
@@ -548,6 +584,98 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"coxcut: error: {message}"]
+
+
+def _csv_text(header, rows, comments=()):
+    """CSV as every command writes it: '# ' comment lines ending in LF, rows in CRLF."""
+    return "".join(f"# {c}\n" for c in comments) + "".join(
+        ",".join(cells) + "\r\n" for cells in [header, *rows]
+    )
+
+
+class TestCsvBytes:
+    """The bytes each command writes, to a file and to stdout ('-' or no --out)."""
+
+    TRAIN = "x1,label\n0,1\n0.1,1\n5,2\n5.1,2\n"
+
+    def test_gen(self, tmp_path, capsys):
+        code, out, _ = _run(capsys, "gen", "--shape", "circles", "--radii", "1,2",
+                            "--n-per-class", "3", "--seed", "2", "--labeled-per-class", "1",
+                            "--out", str(tmp_path / "d.csv"), "--truth-out", str(tmp_path / "t.csv"))
+        assert (code, out) == (0, "")
+        truth = coxcut.gen_concentric_circles(3, [1.0, 2.0], 0.1, 2)
+        masked = np.where(coxcut.stratified_mask(truth, 1, 2), truth.labels, 0)
+        for name, labels in (("t.csv", truth.labels), ("d.csv", masked)):
+            rows = [[*map(repr, x), str(lab) if lab else ""]
+                    for x, lab in zip(truth.covariates.tolist(), labels.tolist())]
+            expected = _csv_text(["x1", "x2", "label"], rows)
+            assert (tmp_path / name).read_bytes() == expected.encode()
+
+    def test_ssl(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x1,label\n0,1\n0.1,\n5,2\n5.1,\n")
+        code, *_ = _run(capsys, "ssl", "--data", str(data), "--lengthscale", "1",
+                        "--out", str(tmp_path / "o.csv"))
+        assert code == 0
+        assert (tmp_path / "o.csv").read_bytes() == (
+            b"# solve-mode: exact\n# tie-break: first-found-deterministic\n"
+            b"x1,label\r\n0.0,1\r\n0.1,1\r\n5.0,2\r\n5.1,2\r\n"
+        )
+
+    def test_fit(self, tmp_path, capsys):
+        train = tmp_path / "t.csv"
+        train.write_text(self.TRAIN)
+        table = "lengthscale,error\r\n0.5,0.0\r\n1.0,0.0\r\n"
+        argv = ["fit", "--train", str(train), "--grid", "0.5,1"]
+        assert _run(capsys, *argv, "--out", str(tmp_path / "f.csv")) == (
+            0, "best_lengthscale=1.0\n", "")
+        assert (tmp_path / "f.csv").read_bytes() == table.encode()
+        assert _run(capsys, *argv) == (0, table + "best_lengthscale=1.0\n", "")
+
+    def test_predict(self, tmp_path, capsys):
+        train = tmp_path / "t.csv"
+        train.write_text(self.TRAIN)
+        test = tmp_path / "q.csv"
+        test.write_text("x1\n-1\n2.5\n7\n")
+        models = coxcut.shared_models(2, Kernel("se", 1.0, 1.0))
+        probs = coxcut.predict_proba_batch(models, load_csv(train), [[-1.0], [2.5], [7.0]])
+        labels = coxcut.predict_labels(probs)
+        expected = _csv_text(["prob_1", "prob_2", "label"],
+                             [[*map(repr, p), str(lab)]
+                              for p, lab in zip(probs.tolist(), labels.tolist())])
+        argv = ["predict", "--train", str(train), "--test", str(test), "--lengthscale", "1"]
+        assert _run(capsys, *argv, "--out", str(tmp_path / "p.csv")) == (0, "", "")
+        assert (tmp_path / "p.csv").read_bytes() == expected.encode()
+        assert _run(capsys, *argv, "--out", "-") == (0, expected, "")
+
+    def test_simulate(self, tmp_path, capsys):
+        window = coxcut.Window(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), 3)
+        field = coxcut.sample_gp_field(0.0, Kernel("se", 1.0, 1.0), window, 4)
+        points = coxcut.sample_poisson_points(field, 5)
+        field_text = _csv_text(["x1", "x2", "intensity"],
+                               [[repr(float(v)) for v in (*c, i)]
+                                for c, i in zip(field.centers, field.intensity)])
+        points_text = _csv_text(["x1", "x2"], [[repr(float(v)) for v in p] for p in points])
+        argv = ["simulate", "--window", "-1,-1,1,1", "--grid", "3", "--seed", "4"]
+        code, *_ = _run(capsys, *argv, "--out-field", str(tmp_path / "f.csv"),
+                        "--out-points", str(tmp_path / "p.csv"))
+        assert code == 0
+        assert (tmp_path / "f.csv").read_bytes() == field_text.encode()
+        assert (tmp_path / "p.csv").read_bytes() == points_text.encode()
+        assert _run(capsys, *argv, "--out-field", "-", "--out-points", "-") == (
+            0, field_text + points_text, "")
+
+    def test_bench(self, capsys):
+        code, out, err = _run(capsys, "bench", "--sizes", "16,32", "--test-points", "4",
+                              "--repeats", "1")
+        assert (code, err) == (0, "")
+        rows = out.split("\r\n")
+        assert rows[0] == "n_train,seconds_per_test_point"
+        times = [r.split(",") for r in rows[1:3]]
+        assert [n for n, _ in times] == ["16", "32"]
+        assert out == _csv_text(rows[0].split(","), times) + rows[3]
+        assert rows[3].startswith("exponent=") and rows[3].endswith("\n")
+        assert all(repr(float(t)) == t for _, t in times)
 
 
 _COMMAND_NAMES = ["gen", "simulate", "fit", "predict", "ssl", "eval", "bench", "energy"]

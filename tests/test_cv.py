@@ -159,6 +159,36 @@ class TestGridValidatedBeforeWork:
         assert calls == []
 
 
+class TestAutoGridOutOfRange:
+    """An automatic grid whose ends the se kernel refuses names the median distance."""
+
+    # the se kernel refuses 100 times the first median and 0.01 times the second
+    @pytest.mark.parametrize("scale", [3.3e153, 5e-161])
+    def test_one_error_naming_the_median_and_grid(self, scale):
+        x = scale * np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        labeled, unlabeled = Dataset(x, [1, 2, 1, 2], 2), np.zeros((1, 2))
+        d2 = sym_sq_dists(x)
+        median = float(np.median(np.sqrt(d2[np.triu_indices(4, 1)])))
+        expected = (
+            "the automatic length-scale grid, 0.01 to 100 times the median pairwise "
+            f"distance {median!r}, is out of range for the se kernel; pass --grid"
+        )
+        with pytest.raises(ValueError) as info:
+            loo_cv(labeled, "se")
+        assert str(info.value) == expected
+        with pytest.raises(ValueError) as info:
+            kfold_cv_ssl(labeled, unlabeled, 2, "se")
+        assert str(info.value) == expected
+
+    def test_unknown_family_is_named_as_such(self):
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            loo_cv(_clusters(), "matern")
+
+    def test_given_grid_keeps_the_kernel_message(self):
+        with pytest.raises(ValueError, match="se length_scale 1e\\+200 is out of range"):
+            loo_cv(_clusters(), "se", [1e200])
+
+
 class TestKfoldCvSsl:
     def _instance(self, seed=0):
         ds = gen_double_helix(40, 1.0, 1.5, 2.0, 0.04, 777)

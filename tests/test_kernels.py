@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coxcut import Kernel
-from coxcut.kernels import _CHUNK, _EXP_ZERO, _SUM_TILE, _SYM_BLOCK, sym_sq_dists
+from coxcut.kernels import _CHUNK, _EXP_ZERO, _SUM_TILE, sym_sq_dists
 
 
 def test_se_at_zero_is_signal_variance():
@@ -258,15 +258,42 @@ def test_row_sums_tiles_are_bit_identical(family, rows, cols):
     assert _same_bits(k.row_sums(a, b), expected)
 
 
-@pytest.mark.parametrize("n", [1, 2, _SYM_BLOCK, _SYM_BLOCK + 1, 2 * _SYM_BLOCK + 45])
-def test_sym_sq_dists_blocks_match_full_transposed_add(n):
-    rng = np.random.default_rng(n)
-    x = rng.normal(0, 3, (n, 2))
-    x[: n // 4] = x[rng.integers(0, n, n // 4)]
+def _sym_sq_dists_oracle(x):
+    """Squared distances re-symmetrized as 0.5 (d2 + d2.T), the pass sym_sq_dists dropped."""
     sq = np.sum(x * x, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     expected = 0.5 * (d2 + d2.T)
     np.fill_diagonal(expected, 0.0)
-    got = sym_sq_dists(x)
-    assert _same_bits(got, expected)
-    assert np.array_equal(got, got.T)
+    return expected
+
+
+def _layouts(n):
+    """(name, points) in every layout sym_sq_dists must handle, with duplicated rows."""
+    rng = np.random.default_rng(n)
+    wide = rng.normal(0, 3, (n, 6))
+    wide[: n // 4] = wide[rng.integers(0, max(n, 1), n // 4)]
+    x = np.ascontiguousarray(wide[:, :2])
+    tall = np.repeat(x, 2, axis=0)
+    yield "C", x
+    yield "F", np.asfortranarray(x)
+    yield "column-strided", wide[:, ::2]
+    yield "row-strided", tall[::2]
+    yield "float32", x.astype(np.float32)
+    yield "D=1", np.ascontiguousarray(wide[:, :1])
+
+
+# 127-129 straddle a 128-row block of the former symmetrizing pass, and 301
+# spans three. Without the contiguous copy, numpy sends a column-strided view to
+# gemm: the result then differs from the copy's at 127 points and is not
+# symmetric at 301 and 2100.
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129, 301, 2100])
+def test_sym_sq_dists_symmetric_by_construction(n):
+    for layout, x in _layouts(n):
+        got = sym_sq_dists(x)
+        assert got.shape == (n, n) and got.dtype == x.dtype, layout
+        assert np.array_equal(got, got.T), layout
+        assert not np.any(np.diag(got)), layout
+        if x.flags.c_contiguous:
+            assert got.tobytes() == _sym_sq_dists_oracle(x).tobytes(), layout
+        else:  # computed from a C-contiguous copy
+            assert got.tobytes() == sym_sq_dists(np.ascontiguousarray(x)).tobytes(), layout
