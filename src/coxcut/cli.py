@@ -17,11 +17,13 @@ import numpy as np
 from .classify import predict_labels, predict_proba_batch, shared_models
 from .cv import kfold_cv_ssl, loo_cv
 from .data import (
+    MAX_ROWS_BYTES,
     Dataset,
     gen_concentric_circles,
     gen_double_helix,
     load_covariates,
     load_csv,
+    rows_bytes,
     save_csv,
     stratified_mask,
     write_csv,
@@ -80,9 +82,22 @@ def _r(v) -> str:
     return repr(float(v))
 
 
+def _guard_rows(need: int, what: str, flags: str) -> None:
+    if need > MAX_ROWS_BYTES:
+        raise ValueError(
+            f"{what} need {need / 1e9:,.1f} GB, above the {MAX_ROWS_BYTES / 1e9:.1f} GB "
+            f"guard; use {flags}"
+        )
+
+
 def _cmd_gen(args) -> int:
-    if args.shape == "circles":
-        ds = gen_concentric_circles(args.n_per_class, _floats(args.radii), args.noise, args.seed)
+    circles = args.shape == "circles"
+    radii = _floats(args.radii) if circles else []
+    rows = args.n_per_class * (len(radii) if circles else 2)
+    _guard_rows(rows_bytes(rows, 2 if circles else 3), f"{rows} rows to generate and write",
+                "fewer points per class (--n-per-class)")
+    if circles:
+        ds = gen_concentric_circles(args.n_per_class, radii, args.noise, args.seed)
     else:
         ds = gen_double_helix(
             args.n_per_class, args.radius, args.pitch, args.turns, args.noise, args.seed
@@ -204,6 +219,14 @@ def bench_prediction(sizes=BENCH_SIZES, n_test: int = 512, repeats: int = 9, see
         raise ValueError(f"test points must be >= 1, got {n_test}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    # Every training set (2-D points and labels, 24 bytes a row) and its
+    # test points (16 bytes a row) are held until the timing ends; a
+    # prediction copies the labeled rows and each class's points and squares
+    # them (at most 96 bytes a training row) and takes at most 96 bytes a
+    # test point for the activations and probabilities.
+    need = 24 * sum(sizes) + 96 * max(sizes) + (16 * len(sizes) + 96) * n_test
+    _guard_rows(need, f"{len(sizes)} training sets of up to {max(sizes)} points and "
+                f"{n_test} test points each", "smaller --sizes or fewer --test-points")
     rng = np.random.default_rng(seed)
     kern = Kernel("se", 1.0, 1.0)
     setups = []

@@ -16,6 +16,9 @@ _SHOWN = 40  # characters of a cell echoed in an error message
 # sign and digits of an integer literal, leading zeros apart; int() refuses one
 # of more than 4300 digits, Python's limit on integer-string conversion
 _INT_LITERAL = re.compile(r"([+-]?)(?=\d)0*(\d*)")
+# Largest working set of rows that the gen and bench commands may build in
+# memory, counted before anything is allocated (rows_bytes for gen).
+MAX_ROWS_BYTES = 2**30  # 1 GiB: about 5.8 million rows of 2-D points for gen
 
 
 @dataclass
@@ -255,6 +258,18 @@ def save_csv(dataset: Dataset, path, comments: list[str] | None = None) -> None:
     # repr() of a Python float is the shortest exact round-trip form
     write_csv(path, header, ([*map(repr, x), str(lab) if lab else ""] for x, lab in rows),
               comments or ())
+
+
+def rows_bytes(rows: int, dim: int) -> int:
+    """Bytes held at most to generate ``rows`` rows of ``dim`` covariates and save them.
+
+    A generator builds each class's block and stacks the blocks, so two
+    float64 copies of the covariates and labels may be alive (16 (dim + 1)
+    bytes a row). ``save_csv`` then holds its ``tolist`` copy while it
+    writes: per row a list of dim Python floats (64 + 32 dim bytes) and a
+    slot in the label list (8 bytes; small ints are shared objects).
+    """
+    return rows * (16 * (dim + 1) + 64 + 32 * dim + 8)
 
 
 def _check_class_size(n_per_class: int) -> None:

@@ -56,6 +56,7 @@ from .mrf import EnergyGraph
 _MAX_QUANT_BITS = 48
 _INT_HEADROOM_BITS = 62
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_PAIR_CHUNK = 1 << 14  # pairs per build_flow_network temporary
 
 _log = logging.getLogger("coxcut.mincut")
 
@@ -68,7 +69,8 @@ class FlowNetwork:
     tail of arc a is ``arc_to[a ^ 1]``. Both arcs of a pair may start with
     capacity, so one pair carries a two-way edge. ``arc_cap`` holds residual
     capacities and is mutated by ``max_flow``; ``arc_cap0`` keeps the
-    original capacities for cut/conservation checks.
+    original capacities for cut/conservation checks (``binary_map`` drops
+    it before the solve).
     """
 
     num_nodes: int
@@ -76,7 +78,7 @@ class FlowNetwork:
     sink: int
     arc_to: np.ndarray
     arc_cap: np.ndarray
-    arc_cap0: np.ndarray
+    arc_cap0: np.ndarray | None
 
     @classmethod
     def from_arrays(
@@ -227,7 +229,8 @@ def _level_graph(bounds, to, tail, cap, source, sink):
         lo = bounds[frontier]
         count = bounds[frontier + 1] - lo
         end = np.cumsum(count)
-        slots = np.repeat(lo - end + count, count) + np.arange(end[-1])
+        slots = np.repeat(lo - end + count, count)
+        slots += np.arange(end[-1])
         slots = slots[cap[slots] > 0]
         heads = to[slots]
         steps.append(slots)
@@ -298,7 +301,10 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     from one level to the next, into the sink only at the sink's level, and
     on a path to the sink) in int64 numpy over the arcs in CSR order; only
     the blocking-flow search runs in Python, over the admissible arcs alone,
-    and the flow it sends is applied to the residuals in numpy.
+    and the flow it sends is applied to the residuals in numpy. Meanwhile
+    ``network.arc_to`` and ``network.arc_cap`` themselves hold the heads
+    and residuals in CSR order, so that no second copy of either is made;
+    both are put back in arc order before the call returns or raises.
 
     Raises ``ValueError`` before touching any capacity if an arc pair's two
     capacities sum past 2**63 - 1.
@@ -307,28 +313,38 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     s, t = network.source, network.sink
     _check_pair_sums(network)
     pushed = _push_three_arc_paths(network)
-    tails = network.arc_to[np.arange(m) ^ 1]
+    # CSR order by tail; each working array is made once the arrays it is
+    # built from exist and those it replaces are freed
+    tails = network.arc_to.reshape(-1, 2)[:, ::-1].ravel()  # slot a leaves to[a ^ 1]
     order = _stable_order(tails, n)  # CSR slot -> arc
-    slot = np.empty(m, dtype=np.int64)
-    slot[order] = np.arange(m)  # arc -> CSR slot
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=bounds[1:])
-    to, tail, rev = network.arc_to[order], tails[order], slot[order ^ 1]
-    cap = network.arc_cap[order]
-    first = np.zeros(n + 1, dtype=np.int64)
-    flow = phases = 0
-    while True:
-        level, adm = _level_graph(bounds, to, tail, cap, s, t)
-        if adm is None:
-            break
-        phases += 1
-        np.cumsum(np.bincount(tail[adm], minlength=n), out=first[1:])
-        left = cap[adm].tolist()
-        flow += _blocking_flow(first.tolist(), to[adm].tolist(), tail[adm].tolist(), left, s, t)
-        sent = cap[adm] - left
-        cap[adm] -= sent
-        cap[rev[adm]] += sent
-    network.arc_cap[order] = cap
+    del tails
+    to, cap = network.arc_to, network.arc_cap
+    to[:], cap[:] = to[order], cap[order]  # both gathered before either is written
+    try:
+        slot = np.empty(m, dtype=np.int64)
+        slot[order] = np.arange(m)  # arc -> CSR slot
+        rev = slot[order ^ 1]
+        del slot
+        tail = np.repeat(np.arange(n), np.diff(bounds))
+        first = np.zeros(n + 1, dtype=np.int64)
+        flow = phases = 0
+        while True:
+            level, adm = _level_graph(bounds, to, tail, cap, s, t)
+            if adm is None:
+                break
+            phases += 1
+            np.cumsum(np.bincount(tail[adm], minlength=n), out=first[1:])
+            left = cap[adm].tolist()
+            flow += _blocking_flow(first.tolist(), to[adm].tolist(), tail[adm].tolist(), left, s, t)
+            sent = cap[adm] - left
+            cap[adm] -= sent
+            cap[rev[adm]] += sent
+            del adm, left, sent  # not held through the next level graph
+    finally:
+        to[order] = to.copy()
+        cap[order] = cap.copy()
     _log.debug(
         "max_flow: %d nodes, %d arc pairs, %d pushed in bulk, %d found by Dinic in %d phases",
         n, m // 2, pushed, flow, phases,
@@ -341,7 +357,9 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
 
     Sites are nodes 0..U-1, the source is node U, the sink node U+1. For
     every labeling x (x_k = 0 iff site k on the source side), the capacity
-    of the corresponding cut equals quantized_energy(x) - offset.
+    of the corresponding cut equals quantized_energy(x) - offset. The pair
+    arcs are written straight into the network's arrays, from temporaries of
+    at most _PAIR_CHUNK pairs.
     """
     if energy.num_labels != 2:
         raise ValueError(f"min-cut reduction needs a binary energy, got Q={energy.num_labels}")
@@ -351,10 +369,11 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     if not math.isfinite(unary_max):
         k = int(np.flatnonzero(~np.isfinite(energy.unary).all(axis=1))[0])
         raise ValueError(f"non-finite unary energy at site {k}: {energy.unary[k].tolist()}")
-    w1, w2 = (energy.weights[:, c] for c in energy.column)  # -E(1,1) and -E(2,2)
+    c1, c2 = energy.column.tolist()
+    w1, w2 = energy.weights[:, c1], energy.weights[:, c2]  # -E(1,1) and -E(2,2)
 
-    u = energy.num_sites
-    n_terms = u + energy.num_pairs + 1
+    u, p = energy.num_sites, energy.num_pairs
+    n_terms = u + p + 1
     bits = min(_MAX_QUANT_BITS, _INT_HEADROOM_BITS - max(1, math.ceil(math.log2(n_terms + 1))))
     # floor keeps the scale finite for (near-)zero energies
     pair_max = max(float(w1.max(initial=0.0)), float(w2.max(initial=0.0)))
@@ -362,32 +381,47 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     scale = 2.0**bits / max_abs
 
     qu = np.rint(energy.unary * scale).astype(np.int64)
-    # E(1,1) and E(2,2) rounded down (error < 1 quantum each), so the arc
-    # capacities B' = -qa and C' = -qd are non-negative integers
-    qa = np.floor(w1 * -scale).astype(np.int64)
-    qd = np.floor(w2 * -scale).astype(np.int64)
-    fwd, rev = -qa, -qd
-
     theta = qu[:, 1] - qu[:, 0]
     offset = int(qu[:, 0].sum())
-    if energy.num_pairs:
-        np.add.at(theta, energy.pair_i, qd - qa)
-        offset += int(qa.sum())
+
+    # Terminal arcs come first, in site order (source -> k for theta > 0,
+    # k -> sink for theta < 0), then one arc pair per site pair with any
+    # capacity. Pair arcs are written after room for U terminal arcs, the T
+    # terminal arcs right before them once theta is complete, and the
+    # network is the slice from the first terminal arc to the last pair arc.
+    arc_to = np.empty(2 * (u + p), dtype=np.int64)
+    arc_cap = np.empty(2 * (u + p), dtype=np.int64)
+    end = 2 * u
+    for start in range(0, p, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, p)
+        # E(1,1) and E(2,2) rounded down (error < 1 quantum each), so the arc
+        # capacities B' = -floor(-w1 * scale) = ceil(w1 * scale) and C' are
+        # non-negative integers
+        fwd = np.ceil(w1[start:stop] * scale).astype(np.int64)
+        rev = fwd if c1 == c2 else np.ceil(w2[start:stop] * scale).astype(np.int64)
+        offset -= int(fwd.sum())
+        pairs = slice(start, stop)
+        if c1 != c2:  # the pair's part of site i's unary: D - A = B' - C'
+            np.add.at(theta, energy.pair_i[pairs], fwd - rev)
+        kept = np.flatnonzero(fwd | rev)
+        if len(kept) < stop - start:
+            fwd, rev, pairs = fwd[kept], rev[kept], kept + start
+        slots = slice(end, end + 2 * len(fwd))
+        arc_to[slots][0::2], arc_to[slots][1::2] = energy.pair_j[pairs], energy.pair_i[pairs]
+        arc_cap[slots][0::2], arc_cap[slots][1::2] = fwd, rev
+        end = slots.stop
     offset += int(theta[theta < 0].sum())
 
     source, sink = u, u + 1
-    # terminal arcs in site order (source -> k for theta > 0, k -> sink for
-    # theta < 0), then one arc pair per site pair with any capacity
     ks = np.flatnonzero(theta)
     up = theta[ks] > 0
-    kept = np.flatnonzero(fwd + rev)
-    network = FlowNetwork.from_arrays(
-        u + 2, source, sink,
-        np.concatenate([np.where(up, source, ks), energy.pair_i[kept]]),
-        np.concatenate([np.where(up, ks, sink), energy.pair_j[kept]]),
-        np.concatenate([np.abs(theta[ks]), fwd[kept]]),
-        np.concatenate([np.zeros(len(ks), dtype=np.int64), rev[kept]]),
-    )
+    first = 2 * (u - len(ks))
+    arc_to[first : 2 * u : 2] = np.where(up, ks, sink)
+    arc_to[first + 1 : 2 * u : 2] = np.where(up, source, ks)
+    arc_cap[first : 2 * u : 2] = np.abs(theta[ks])
+    arc_cap[first + 1 : 2 * u : 2] = 0
+    arc_to, arc_cap = arc_to[first:end], arc_cap[first:end]
+    network = FlowNetwork(u + 2, source, sink, arc_to, arc_cap, arc_cap.copy())
     return network, QuantizationRecord(scale=scale, offset=offset, bits=bits)
 
 
@@ -419,7 +453,9 @@ def _flip_polish(energy: EnergyGraph, labels: np.ndarray) -> np.ndarray:
 def binary_map(energy: EnergyGraph) -> np.ndarray:
     """Minimum-energy binary labeling (source side = class 1)."""
     network, _ = build_flow_network(energy)
+    network.arc_cap0 = None  # only the cut and balance checks read it, not max_flow
     _, source_side = max_flow(network)
+    del network  # freed before the polish allocates its own arrays
     labels = np.where(source_side[: energy.num_sites], 1, 2).astype(np.int64)
     return _flip_polish(energy, labels)
 

@@ -29,13 +29,14 @@ from .simulate import log_product_density
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
 PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
-# Largest unlabeled set. Each distinct kernel's U x U float64 gram (0.5 GB at
-# this size) is evaluated in place; with the U x U masks that select the kept
-# pairs, one kernel peaks below 16 U^2 bytes (1.07 GB here) and k kernels
-# below 8 (k + 1) U^2 bytes.
+# Largest unlabeled set. Each distinct kernel's U x U float64 gram (0.54 GB at
+# this size) is evaluated in place and the kept pairs are selected from it one
+# row strip at a time, so k kernels hold 8 k U^2 bytes of U x U arrays. The
+# arrays proportional to the kept pairs come on top and are not counted here.
 MAX_SSL_SITES = 8192
 
 _CHUNK = 1 << 16  # labelings per brute-force scan chunk
+_STRIP_ELEMENTS = 1 << 16  # gram entries per row strip that build_energy selects from
 # Elements per (pairs, triples) margin temporary in check_pairwise_representable.
 _MARGIN_ELEMENTS = 1 << 20
 
@@ -110,8 +111,10 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     in row-major order (by j, then k), the order of ``np.triu_indices``.
     Each distinct kernel's gram on the unlabeled sites is evaluated once and
     gives one weight column, C(x*_j - x*_k) for each kept pair; classes that
-    share a kernel share its column. More than MAX_SSL_SITES sites are
-    refused before any U x U array is allocated.
+    share a kernel share its column. The pairs are selected from the grams
+    one row strip at a time, so the grams are the only U x U arrays, and the
+    pairs' site indices are built once the grams are freed. More than
+    MAX_SSL_SITES sites are refused before any U x U array is allocated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -122,9 +125,9 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     kernels = list(dict.fromkeys(m.kernel for m in models))  # distinct, in class order
     if u > MAX_SSL_SITES:
         raise ValueError(
-            f"{u} unlabeled sites need {(len(kernels) + 1) * 8 * u * u / 1e9:.1f} GB of "
-            f"{u}x{u} float64 arrays (one kernel matrix per distinct kernel and one "
-            f"temporary); the limit is {MAX_SSL_SITES} sites"
+            f"{u} unlabeled sites need {len(kernels) * 8 * u * u / 1e9:.1f} GB of "
+            f"{u}x{u} float64 kernel matrices (one per distinct kernel); the limit is "
+            f"{MAX_SSL_SITES} sites"
         )
     if not np.all(np.isfinite(x_u)):
         raise ValueError("unlabeled covariates contain non-finite values")
@@ -153,17 +156,53 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
             constant -= len(pts) * m.mean + 0.5 * m.kernel.gram(pts).sum()
 
     grams = [k.gram(x_u) for k in kernels]
-    keep = np.full((u, u), cutoff is None)
-    if cutoff is not None:
-        for g in grams:
-            keep |= g >= cutoff
-    flat = np.flatnonzero(np.triu(keep, 1))
-    pi, pj = np.divmod(flat, u)
-    weights = np.empty((len(flat), len(grams)))
-    for k, g in enumerate(grams):
-        weights[:, k] = g.take(flat)
+    flats, parts = _strip_pairs(grams, cutoff)
+    del grams  # only arrays proportional to the kept pairs remain
+    p = sum(map(len, flats))
+    weights = np.empty((p, len(kernels)))
+    for k, part in enumerate(parts):
+        _join(part, weights[:, k])
+    pi, pj = np.divmod(_join(flats, np.empty(p, dtype=np.int64)), u)
     column = [kernels.index(m.kernel) for m in models]
     return EnergyGraph(unary, pi, pj, weights, column, constant)
+
+
+def _strip_pairs(grams, cutoff) -> tuple[list, list]:
+    # The kept pairs j < k of the grams' upper triangle, read in row strips
+    # of about _STRIP_ELEMENTS entries so that no U x U temporary is made.
+    # Returns one list of flat indices j * U + k per strip, in row-major
+    # order, and for each gram one list of the strips' weights.
+    u = len(grams[0])
+    rows = min(u, max(1, _STRIP_ELEMENTS // u))
+    above = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    flats, parts = [], [[] for _ in grams]
+    for start in range(0, u - 1, rows):
+        stop = min(start + rows, u - 1)  # the last site pairs with no later one
+        blocks = [g[start:stop] for g in grams]
+        keep = np.zeros(blocks[0].shape, dtype=bool)
+        right = keep[:, start:]  # no pair of the strip lies left of its first row's diagonal
+        if cutoff is None:
+            right.fill(True)
+        else:
+            np.greater_equal(blocks[0][:, start:], cutoff, out=right)
+            for b in blocks[1:]:
+                right |= b[:, start:] >= cutoff
+        r = stop - start
+        right[:, :r] &= above[:r, :r]  # row start + i pairs with column start + c iff c > i
+        flat = np.flatnonzero(keep)
+        for part, b in zip(parts, blocks):
+            part.append(b.ravel().take(flat))
+        flat += start * u
+        flats.append(flat)
+    return flats, parts
+
+
+def _join(parts: list, out: np.ndarray) -> np.ndarray:
+    # Concatenate ``parts`` into ``out`` and empty the list, freeing them.
+    if parts:
+        np.concatenate(parts, out=out)
+        parts.clear()
+    return out
 
 
 def joint_unnormalized_log_prob(models, dataset: Dataset) -> float:
