@@ -4,9 +4,11 @@ The predictive class distribution at a test point x* is softmax(F) with
 
     F_i = mean_i + C_i(0) / 2 + sum over training points x of class i of C_i(x* - x)
 
-which costs O(N * Q) per test point. A kernel-sum density classifier is
-provided for comparison; with a single shared kernel and zero means the two
-rules pick the same class for every test point.
+which costs O(N * Q) per test point, summed by one ``Kernel.row_sums`` call
+per class; the label field's unaries (``mrf.build_energy``) are -F. A
+kernel-sum density classifier is provided for comparison; with a single
+shared kernel and zero means the two rules pick the same class for every
+test point.
 """
 
 from __future__ import annotations
@@ -53,26 +55,16 @@ def _as_test_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-# row_sums materializes a (block, tile) kernel matrix per training tile;
-# test points are processed in blocks to keep that bounded.
-_BLOCK = 64
-
-
 def activations_batch(models, train: Dataset, x_test) -> np.ndarray:
     """Activation matrix F, shape (T, Q)."""
     if len(models) != train.num_classes:
         raise ValueError(f"need {train.num_classes} class models, got {len(models)}")
     x, _ = _as_test_matrix(x_test, train.dim)
     xl, yl = train.labeled()
-    class_pts = [xl[yl == a + 1] for a in range(len(models))]
     f = np.empty((x.shape[0], len(models)))
-    for start in range(0, x.shape[0], _BLOCK):
-        block = x[start : start + _BLOCK]
-        for a, m in enumerate(models):
-            col = m.mean + 0.5 * m.kernel.signal_variance
-            if len(class_pts[a]):
-                col = col + m.kernel.row_sums(block, class_pts[a])
-            f[start : start + _BLOCK, a] = col
+    for a, m in enumerate(models):
+        f[:, a] = m.mean + 0.5 * m.kernel.signal_variance
+        f[:, a] += m.kernel.row_sums(x, xl[yl == a + 1])  # 0.0 for a class without points
     return f
 
 
@@ -112,12 +104,7 @@ def kde_predict_batch(kernel: Kernel, train: Dataset, x_test) -> np.ndarray:
         raise ValueError("kernel density prediction needs at least one labeled point")
     num = np.zeros((x.shape[0], train.num_classes))
     for a in range(train.num_classes):
-        pts = xl[yl == a + 1]
-        if len(pts):
-            for start in range(0, x.shape[0], _BLOCK):
-                num[start : start + _BLOCK, a] = kernel.row_sums(
-                    x[start : start + _BLOCK], pts
-                )
+        num[:, a] = kernel.row_sums(x, xl[yl == a + 1])
     den = num.sum(axis=1)
     if np.any(den <= 0.0):
         raise ValueError(

@@ -272,9 +272,21 @@ def rows_bytes(rows: int, dim: int) -> int:
     return rows * (16 * (dim + 1) + 64 + 32 * dim + 8)
 
 
-def _check_class_size(n_per_class: int) -> None:
+def _check_noise_and_class_size(noise_std: float, n_per_class: int) -> None:
+    if not 0 <= noise_std < np.inf:  # False for NaN
+        raise ValueError(f"noise_std must be a finite real >= 0, got {noise_std!r}")
     if n_per_class < 1:
         raise ValueError(f"points per class must be at least 1, got {n_per_class}")
+
+
+def _add_noise(pts: np.ndarray, noise_std: float, rng) -> np.ndarray:
+    """``pts`` plus N(0, noise_std^2) draws, refused when a noisy coordinate overflows."""
+    if noise_std > 0:
+        with np.errstate(over="ignore"):
+            pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"noise_std {noise_std!r} is too large: coordinates overflow")
+    return pts
 
 
 def gen_concentric_circles(
@@ -284,19 +296,15 @@ def gen_concentric_circles(
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 2:
         raise ValueError("radii must list at least two values")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError(f"radii must be strictly increasing, got {radii.tolist()}")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
-    _check_class_size(n_per_class)
+    if not (np.all(np.isfinite(radii)) and np.all(np.diff(radii) > 0)):
+        raise ValueError(f"radii must be finite and strictly increasing, got {radii.tolist()}")
+    _check_noise_and_class_size(noise_std, n_per_class)
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for i, r in enumerate(radii, start=1):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n_per_class)
         pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        if noise_std > 0:
-            pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
-        xs.append(pts)
+        xs.append(_add_noise(pts, noise_std, rng))
         ys.append(np.full(n_per_class, i, dtype=np.int64))
     return Dataset(np.vstack(xs), np.concatenate(ys), len(radii))
 
@@ -310,15 +318,18 @@ def gen_double_helix(
     seed: int = 0,
 ) -> Dataset:
     """Two interleaved 3-D helices (phase offset pi), one class per strand."""
-    if radius <= 0 or pitch <= 0 or turns <= 0:
-        raise ValueError("radius, pitch and turns must be positive")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
-    _check_class_size(n_per_class)
+    for name, v in (("radius", radius), ("pitch", pitch), ("turns", turns)):
+        if not 0 < v < np.inf:  # False for NaN
+            raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+    span = 2.0 * np.pi * turns  # t is drawn from [0, span); heights are pitch * t / (2 pi)
+    if not span * pitch < np.inf:
+        name, v = ("turns", turns) if span == np.inf else ("pitch", pitch)
+        raise ValueError(f"{name} {v!r} is too large: helix heights overflow")
+    _check_noise_and_class_size(noise_std, n_per_class)
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for i, phase in enumerate((0.0, np.pi), start=1):
-        t = rng.uniform(0.0, 2.0 * np.pi * turns, size=n_per_class)
+        t = rng.uniform(0.0, span, size=n_per_class)
         pts = np.column_stack(
             [
                 radius * np.cos(t + phase),
@@ -326,9 +337,7 @@ def gen_double_helix(
                 pitch * t / (2.0 * np.pi),
             ]
         )
-        if noise_std > 0:
-            pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
-        xs.append(pts)
+        xs.append(_add_noise(pts, noise_std, rng))
         ys.append(np.full(n_per_class, i, dtype=np.int64))
     return Dataset(np.vstack(xs), np.concatenate(ys), 2)
 

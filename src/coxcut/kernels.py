@@ -153,8 +153,10 @@ class Kernel:
     def row_sums(self, a, b) -> np.ndarray:
         """sum_j C(a_i - b_j) for each row a_i, shape (len(a),).
 
-        This is the prediction hot loop. ``b`` is summed in fixed tiles, so the
-        numpy working set (and the per-element cost) does not grow with len(b).
+        The one kernel-sum routine, for prediction and the label field's
+        unaries alike. ``b`` is summed in tiles of _SUM_TILE points and ``a``
+        in blocks of at least 64 rows and about _CHUNK elements per tile, so
+        the working set grows with neither len(a) nor len(b).
         """
         a = _as_points(a)
         b = _as_points(b)
@@ -163,17 +165,21 @@ class Kernel:
                 f"point sets have mismatched dimensions {a.shape[1]} and {b.shape[1]}"
             )
         m, n = len(a), len(b)
+        tile = min(n, _SUM_TILE)
+        rows = max(64, _CHUNK // max(1, tile))
         aa = np.sum(a * a, axis=1)
         bb = np.sum(b * b, axis=1)
-        buf = np.empty(m * min(n, _SUM_TILE))
+        buf = np.empty(min(m, rows) * tile)
         out = np.zeros(m)
-        for start in range(0, n, _SUM_TILE):
-            stop = min(start + _SUM_TILE, n)
-            # A leading slice of the flat buffer keeps a partial last tile
-            # contiguous; a column slice of an (m, _SUM_TILE) view would not be.
-            d2 = buf[: m * (stop - start)].reshape(m, stop - start)
-            _sq_dists(a, b[start:stop], aa, bb[start:stop], out=d2)
-            out += self._from_sqdist(d2, out=d2).sum(axis=1)
+        for first in range(0, m, rows):
+            block, sums = a[first : first + rows], out[first : first + rows]
+            for start in range(0, n, _SUM_TILE):
+                stop = min(start + _SUM_TILE, n)
+                # A leading slice of the flat buffer keeps a partial last tile
+                # contiguous; a column slice of a (rows, tile) view would not be.
+                d2 = buf[: len(block) * (stop - start)].reshape(len(block), stop - start)
+                _sq_dists(block, b[start:stop], aa[first : first + rows], bb[start:stop], out=d2)
+                sums += self._from_sqdist(d2, out=d2).sum(axis=1)
         return out
 
 

@@ -4,10 +4,11 @@ Conditioning the model on covariates yields label energies of the form
 
     E(y*) = sum_k unary(k, y*_k) + sum_{j<k} pairwise(j,k)(y*_j, y*_k) + constant
 
-where unary(k, a) = -(mean_a + C_a(0)/2 + attraction of site k to the
-labeled points of class a) and pairwise(j,k)(a,b) = -delta(a,b) *
-C_a(x*_j - x*_k). ``EnergyGraph`` holds each pair as one non-negative
-weight per distinct kernel, which makes every pairwise table satisfy
+where unary(k, a) = -F_a(x*_k), minus the supervised activation of
+``classify`` (mean_a + C_a(0)/2 + attraction of site k to the labeled points
+of class a), and pairwise(j,k)(a,b) = -delta(a,b) * C_a(x*_j - x*_k).
+``EnergyGraph`` holds each pair as one non-negative weight per distinct
+kernel, which makes every pairwise table satisfy
 
     E(a,a) + E(b,c) <= E(a,c) + E(b,a)
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import activations_batch
 from .data import Dataset
 from .simulate import log_product_density
 
@@ -100,9 +102,11 @@ class EnergyGraph:
 def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAIR_CUTOFF) -> EnergyGraph:
     """Energy of the unlabeled sites' labels given class models and labeled data.
 
-    The constant collects all terms that do not depend on the unlabeled
-    labels (the labeled-labeled block), so that for a full labeling y* the
-    identity joint_unnormalized_log_prob = -energy_of holds up to rounding.
+    The unaries are -activations_batch(models, labeled, unlabeled), the
+    supervised activations. The constant collects all terms that do not
+    depend on the unlabeled labels: minus the joint log density of the
+    labeled points alone, so that for a full labeling y* the identity
+    joint_unnormalized_log_prob = -energy_of holds up to rounding.
     ``labeled`` may be None or contain no labeled rows, in which case the
     unaries carry only the mean and self-covariance terms.
 
@@ -134,27 +138,16 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     q = len(models)
     if q < 2:
         raise ValueError("need at least two class models")
-    if labeled is not None:
-        if labeled.num_classes != q:
-            raise ValueError(f"labeled data has {labeled.num_classes} classes, got {q} models")
-        if labeled.dim != x_u.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: labeled D={labeled.dim}, unlabeled D={x_u.shape[1]}"
-            )
-        x_l, y_l = labeled.labeled()
-    else:
-        x_l = np.empty((0, x_u.shape[1]))
-        y_l = np.empty(0, dtype=np.int64)
+    if labeled is None:
+        labeled = Dataset(np.empty((0, x_u.shape[1])), np.empty(0, dtype=np.int64), q)
+    elif labeled.num_classes != q:
+        raise ValueError(f"labeled data has {labeled.num_classes} classes, got {q} models")
+    elif labeled.dim != x_u.shape[1]:
+        raise ValueError(f"dimension mismatch: labeled D={labeled.dim}, unlabeled D={x_u.shape[1]}")
 
-    unary = np.empty((u, q))
-    constant = 0.0
-    for a, m in enumerate(models):
-        unary[:, a] = -(m.mean + 0.5 * m.kernel.signal_variance)
-        pts = x_l[y_l == a + 1]
-        if len(pts):
-            unary[:, a] -= m.kernel.cross(pts, x_u).sum(axis=0)
-            constant -= len(pts) * m.mean + 0.5 * m.kernel.gram(pts).sum()
-
+    unary = -activations_batch(models, labeled, x_u)
+    # 0.0 - j rather than -j keeps a labeled block of log density exactly 0 at +0.0
+    constant = 0.0 - joint_unnormalized_log_prob(models, Dataset(*labeled.labeled(), q))
     grams = [k.gram(x_u) for k in kernels]
     flats, parts = _strip_pairs(grams, cutoff)
     del grams  # only arrays proportional to the kept pairs remain

@@ -7,12 +7,18 @@ whose entries all lie below the cutoff. It returns the explicit (P, Q, Q)
 tables. ``build_energy`` evaluates one gram per distinct kernel and stores
 one weight column per kernel for the kept pairs only; tests require its
 ``pair_tables`` to be bit-identical to these tables.
+
+The unary of site k and class a is -(mean_a + C_a(0)/2) minus the site's
+closed-form kernel sum over the labeled points of class a, accumulated over
+512-point tiles of those points as ``Kernel.row_sums`` does, since
+``build_energy`` takes its unaries from the supervised activations.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from _reference_kernels import row_sums_reference
 from coxcut.mrf import PAIR_CUTOFF
 
 
@@ -34,7 +40,7 @@ def build_energy_reference(models, labeled, unlabeled, cutoff=PAIR_CUTOFF):
         unary[:, a] = -(m.mean + 0.5 * m.kernel.signal_variance)
         pts = x_l[y_l == a + 1]
         if len(pts):
-            unary[:, a] -= m.kernel.cross(pts, x_u).sum(axis=0)
+            unary[:, a] -= row_sums_reference(m.kernel, x_u, pts)
             constant -= len(pts) * m.mean + 0.5 * m.kernel.gram(pts).sum()
 
     pi, pj = np.triu_indices(u, k=1)

@@ -87,6 +87,28 @@ class TestGen:
         assert not out.exists() and not truth.exists()
 
 
+    @pytest.mark.parametrize("shape, flags, message", [
+        ("helix", ["--turns", "inf"], "turns must be a positive finite real, got inf"),
+        ("helix", ["--turns", "1e308"], "turns 1e+308 is too large: helix heights overflow"),
+        ("helix", ["--pitch", "1e308"], "pitch 1e+308 is too large: helix heights overflow"),
+        ("helix", ["--radius", "1e308", "--noise", "1e308"],
+         "noise_std 1e+308 is too large: coordinates overflow"),
+        ("helix", ["--noise", "nan"], "noise_std must be a finite real >= 0, got nan"),
+        ("circles", ["--noise", "nan"], "noise_std must be a finite real >= 0, got nan"),
+        ("circles", ["--radii", "1,inf"],
+         "radii must be finite and strictly increasing, got [1.0, inf]"),
+    ], ids=["turns-inf", "turns-1e308", "pitch", "radius-noise", "helix-noise-nan",
+            "circles-noise-nan", "radii-inf"])
+    def test_extreme_shape_flags_are_one_line_error(self, tmp_path, shape, flags, message):
+        out, truth = tmp_path / "d.csv", tmp_path / "truth.csv"
+        argv = ["gen", "--shape", shape, *flags, "--truth-out", str(truth), "--out", str(out)]
+        # a separate process, so that a warning or traceback on the way fails the test
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [f"coxcut: error: {message}"]
+        assert not out.exists() and not truth.exists()
+
     @pytest.mark.parametrize("shape, flags, classes, dim", [
         ("circles", ["--radii", "1,2,3"], 3, 2),
         ("helix", [], 2, 3),

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from _reference_kernels import closed_form, row_sums_reference, sq_dists
 from coxcut import Kernel
 from coxcut.kernels import _CHUNK, _EXP_ZERO, _SUM_TILE, sym_sq_dists
 
@@ -130,34 +131,20 @@ def test_row_sums_matches_cross_sum():
         assert np.allclose(k.row_sums(a, b), k.cross(a, b).sum(axis=1), rtol=1e-12)
 
 
-def _closed_form(k, d2):
-    # the kernel formula as written out of place, before in-place evaluation
-    if k.family == "se":
-        return k.signal_variance * np.exp(-d2 / (2.0 * k.length_scale**2))
-    return k.signal_variance * np.exp(-np.sqrt(d2) / k.length_scale)
-
-
 @pytest.mark.parametrize("family", ["se", "exp"])
 def test_in_place_evaluation_is_bit_identical_to_closed_form(family):
     rng = np.random.default_rng(3)
     k = Kernel(family, 0.7, 1.3)
     a = rng.normal(0, 2, (37, 3))
     b = np.vstack([rng.normal(0, 2, (1100, 3)), a[:5]])  # several row_sums tiles, zero distances
-    d2 = np.maximum(
-        np.sum(a * a, 1)[:, None] + np.sum(b * b, 1)[None, :] - 2.0 * (a @ b.T), 0.0
-    )
-    assert np.array_equal(k.cross(a, b), _closed_form(k, d2))
-    tiles = [_closed_form(k, d2[:, s : s + 512]).sum(axis=1) for s in range(0, b.shape[0], 512)]
-    expected_sums = np.zeros(len(a))
-    for t in tiles:
-        expected_sums += t
-    assert np.array_equal(k.row_sums(a, b), expected_sums)
+    assert np.array_equal(k.cross(a, b), closed_form(k, sq_dists(a, b)))
+    assert np.array_equal(k.row_sums(a, b), row_sums_reference(k, a, b))
     d2_sym = np.maximum(np.sum(a * a, 1)[:, None] + np.sum(a * a, 1)[None, :] - 2.0 * (a @ a.T), 0)
     d2_sym = 0.5 * (d2_sym + d2_sym.T)
     np.fill_diagonal(d2_sym, 0.0)
-    assert np.array_equal(k.gram(a), _closed_form(k, d2_sym))
+    assert np.array_equal(k.gram(a), closed_form(k, d2_sym))
     s = a[0] - a[1]
-    assert k.eval(s) == _closed_form(k, np.sum(s * s))
+    assert k.eval(s) == closed_form(k, np.sum(s * s))
 
 
 def _same_bits(x, y):
@@ -196,7 +183,7 @@ def test_from_sqdist_matches_one_np_exp_bit_for_bit(family, size):
         expected = 0.7 * np.exp(np.sqrt(d2) / -1.0)
     d2 = d2.reshape(-1, 1) if size % 2 else d2
     assert _same_bits(k._from_sqdist(d2), expected.reshape(d2.shape))
-    assert _same_bits(k._from_sqdist(d2), _closed_form(k, d2))
+    assert _same_bits(k._from_sqdist(d2), closed_form(k, d2))
 
 
 @pytest.mark.parametrize("variance", [1.0, 2.5])
@@ -206,8 +193,8 @@ def test_from_sqdist_at_unit_and_other_variance_matches_closed_form(family, vari
     rng = np.random.default_rng(5)
     k = Kernel(family, variance, 0.3)
     d2 = np.r_[rng.uniform(0.0, 200.0, 3 * _CHUNK + 7), 0.0, np.inf]
-    assert _same_bits(k._from_sqdist(d2), _closed_form(k, d2))
-    assert _same_bits(k.gram(d2[:300, None]), _closed_form(k, sym_sq_dists(d2[:300, None])))
+    assert _same_bits(k._from_sqdist(d2), closed_form(k, d2))
+    assert _same_bits(k.gram(d2[:300, None]), closed_form(k, sym_sq_dists(d2[:300, None])))
 
 
 @pytest.mark.parametrize("family", ["se", "exp"])
@@ -216,10 +203,10 @@ def test_from_sqdist_of_non_contiguous_input(family):
     k = Kernel(family, 1.3, 0.05)  # small enough that some chunks take the shortcut
     d2 = rng.uniform(0.0, 40.0, (300, 257))
     for view in (d2.T, d2[:, ::3], d2[::2, 1:]):
-        assert _same_bits(k._from_sqdist(view), _closed_form(k, view))
+        assert _same_bits(k._from_sqdist(view), closed_form(k, view))
         out = np.empty(view.shape)
         assert k._from_sqdist(view, out=out) is out
-        assert _same_bits(out, _closed_form(k, view))
+        assert _same_bits(out, closed_form(k, view))
     with pytest.raises(ValueError, match="contiguous"):
         k._from_sqdist(d2, out=np.empty((257, 300)).T)
 
@@ -241,21 +228,19 @@ def test_exp_divide_overflow_evaluates_to_zero_without_warning(length_scale):
 
 
 @pytest.mark.parametrize("family", ["se", "exp"])
-@pytest.mark.parametrize("rows", [1, 37])
-@pytest.mark.parametrize("cols", [1, _SUM_TILE - 1, _SUM_TILE, 2 * _SUM_TILE + 81])
+@pytest.mark.parametrize("rows", [1, 37, "blocks"])
+@pytest.mark.parametrize("cols", [1, 40, _SUM_TILE - 1, _SUM_TILE, 2 * _SUM_TILE + 81])
 def test_row_sums_tiles_are_bit_identical(family, rows, cols):
-    # a partial last tile must be summed from a contiguous buffer, not a column slice
+    # a partial last tile must be summed from a contiguous buffer, not a column
+    # slice; "blocks" spans three of row_sums' row blocks and part of a fourth,
+    # a block being at least 64 rows and about _CHUNK elements per tile
+    if rows == "blocks":
+        rows = 3 * max(64, _CHUNK // min(cols, _SUM_TILE)) + 5
     rng = np.random.default_rng(rows * cols)
     k = Kernel(family, 0.9, 0.2)
     a = rng.normal(0, 2, (rows, 3))
     b = rng.normal(0, 2, (cols, 3))
-    d2 = np.maximum(
-        np.sum(a * a, 1)[:, None] + np.sum(b * b, 1)[None, :] - 2.0 * (a @ b.T), 0.0
-    )
-    expected = np.zeros(rows)
-    for s in range(0, cols, _SUM_TILE):
-        expected += _closed_form(k, d2[:, s : s + _SUM_TILE]).sum(axis=1)
-    assert _same_bits(k.row_sums(a, b), expected)
+    assert _same_bits(k.row_sums(a, b), row_sums_reference(k, a, b))
 
 
 def _sym_sq_dists_oracle(x):

@@ -14,6 +14,7 @@ from coxcut import (
     Dataset,
     EnergyGraph,
     Kernel,
+    activations_batch,
     brute_force_log_partition,
     brute_force_map,
     build_energy,
@@ -191,6 +192,53 @@ class TestEnergyMatchesReference:
             )
             for cutoff in (PAIR_CUTOFF, 0.05, None):
                 self._assert_same(models, labeled, unlabeled, cutoff=cutoff)
+
+
+class TestUnaryIsTheNegatedActivation:
+    """The field's unary is -F of ``activations_batch`` and its constant is
+    -sum of ``log_product_density`` over the labeled classes, bit for bit."""
+
+    @staticmethod
+    def _assert_identity(models, labeled, unlabeled):
+        energy = build_energy(models, labeled, unlabeled)
+        q = len(models)
+        if labeled is None:
+            train = Dataset(np.empty((0, unlabeled.shape[1])), np.empty(0), q)
+        else:
+            train = labeled
+        activation = activations_batch(models, train, unlabeled)
+        assert energy.unary.tobytes() == (-activation).tobytes()
+        pts = [train.class_points(a + 1) for a in range(q)]
+        constant = -sum(log_product_density(m, p) for m, p in zip(models, pts) if len(p))
+        assert np.float64(energy.constant).tobytes() == np.float64(constant).tobytes()
+
+    def test_shared_kernel(self):
+        labeled, unlabeled = _helix()
+        self._assert_identity(shared_models(2, Kernel("se", 1.0, 0.3)), labeled, unlabeled)
+
+    def test_labeled_classes_past_one_tile(self):
+        ds = gen_concentric_circles(700, (1.0, 3.0), 0.1, 5)
+        labeled, heldout = partition(ds, 600, 5)  # two 512-point tiles per class
+        models = shared_models(2, Kernel("exp", 0.5, 0.4), [0.2, -0.1])
+        self._assert_identity(models, labeled, heldout.covariates)
+
+    def test_per_class_kernels(self):
+        labeled, unlabeled = _three_circles()
+        kernels = [Kernel("se", 0.25, 0.3), Kernel("exp", 0.5, 0.1), Kernel("se", 2.0, 1.0)]
+        models = [ClassModel(m, k) for m, k in zip((0.1, -0.2, 0.0), kernels)]
+        self._assert_identity(models, labeled, unlabeled)
+
+    def test_without_labeled_data(self):
+        _, unlabeled = _three_circles()
+        models = [ClassModel(m, Kernel("se", v, 0.3)) for m, v in ((0.1, 0.5), (-0.2, 2.0), (0, 1))]
+        self._assert_identity(models, None, unlabeled)
+
+    def test_class_without_labeled_points(self):
+        labeled, unlabeled = _three_circles()
+        x, y = labeled.labeled()
+        labeled = Dataset(x[y != 2], y[y != 2], 3)
+        models = [ClassModel(m, Kernel("exp", 1.0, 0.2)) for m in (0.1, -0.2, 0.3)]
+        self._assert_identity(models, labeled, unlabeled)
 
 
 class TestJoint:
