@@ -183,13 +183,17 @@ def _cmd_ssl(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred = load_csv(args.pred, args.label_column)
-    truth = load_csv(args.truth, args.label_column)
+    # scoring compares labels only, so no file needs two classes: the class
+    # count is the largest label the loader accepts
+    def labels(path):
+        return load_csv(path, args.label_column, num_classes=np.iinfo(np.int64).max)
+
+    pred, truth = labels(args.pred), labels(args.truth)
     if pred.n != truth.n:
         raise ValueError(f"prediction rows {pred.n} != truth rows {truth.n}")
     scored = truth.labeled_mask.copy()
     if args.data:
-        masked = load_csv(args.data, args.label_column)
+        masked = labels(args.data)
         if masked.n != truth.n:
             raise ValueError(f"--data rows {masked.n} != truth rows {truth.n}")
         scored &= ~masked.labeled_mask  # score only rows the solver had to predict

@@ -15,14 +15,13 @@ import numpy as np
 from .classify import shared_models
 from .data import Dataset
 from .expansion import ssl_solve
-from .kernels import Kernel, sym_sq_dists
+from .kernels import STRIP_ELEMENTS, Kernel, sym_sq_dists, upper_strips
 
 GRID_SIZE = 16
 GRID_SPAN = (0.01, 100.0)  # multiples of the median pairwise distance
 _MEDIAN_SUBSAMPLE = 2048
 # Largest leave-one-out set: at this size its n x n float64 matrix takes about 0.5 GB.
 MAX_LOO_POINTS = 8192
-_LOO_STRIP = 2**16  # elements per leave-one-out kernel strip (512 KB of float64)
 _MEDIAN_SAMPLE = 2**14  # matrix entries whose order statistics bracket the median
 
 
@@ -50,22 +49,20 @@ def _median_distance(d2: np.ndarray) -> float:
     Exact selection by bracketing (Floyd & Rivest 1975) without copying the
     triangle: _MEDIAN_SAMPLE entries of the C-contiguous matrix, drawn with a
     fixed seed, give a value bracket [lo, hi] around the middle ranks. One
-    pass over the upper triangle, in row strips of about _LOO_STRIP
-    elements, counts the values <= lo and < hi and gathers those strictly
-    between (about 3% of the pairs); ties at a bound are counted, never
-    gathered. A rank the bracket misses widens it on that side, the old
-    bound becoming the new opposite one, so a value tied at it is found from
-    its two counts. The sample only steers the passes: the result is exact
-    for any square matrix, NaN sorting last as in a partition. sqrt is
-    monotone, so the median distance is the mean of the roots of the middle
-    order statistics.
+    pass over the upper triangle, along ``kernels.upper_strips``, counts the
+    values <= lo and < hi and gathers those strictly between (about 3% of
+    the pairs); ties at a bound are counted, never gathered. A rank the
+    bracket misses widens it on that side, the old bound becoming the new
+    opposite one, so a value tied at it is found from its two counts. The
+    sample only steers the passes: the result is exact for any square
+    matrix, NaN sorting last as in a partition. sqrt is monotone, so the
+    median distance is the mean of the roots of the middle order statistics.
     """
     n = len(d2)
     pairs = n * (n - 1) // 2
     if not pairs:
         return 0.0
     ks = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
-    rows = min(n, max(1, _LOO_STRIP // n))
     # entries drawn at random: a regular stride meets few columns in each row
     # and estimates the median like a subsample of points, much more coarsely
     picks = np.random.default_rng(0).integers(0, n * n, min(n * n, _MEDIAN_SAMPLE))
@@ -76,16 +73,11 @@ def _median_distance(d2: np.ndarray) -> float:
     width = math.isqrt(4 * m) + 1  # about four standard errors of a sample quantile
     lo_pos = max(-1, (n + 2 * ks[0]) * m // (n * n) - width)
     hi_pos = min(m, -(-(n + 2 * ks[-1]) * m // (n * n)) + width)
-    # strict upper triangles of the diagonal blocks, which the strips leave out
-    upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
-    corners = np.concatenate(
-        [d2[a : a + rows, a : a + rows][upper[: n - a, : n - a]] for a in range(0, n, rows)]
-    )
     le_at, lt_at, found = {}, {}, {}
     while True:
         lo = sample[lo_pos] if lo_pos >= 0 else -np.inf  # no squared distance is below 0
         hi = sample[hi_pos] if hi_pos < m else None  # None: no upper bound, NaN included
-        le, lt, inside = _bracket_pass(d2, rows, corners, lo, hi)
+        le, lt, inside = _bracket_pass(d2, lo, hi)
         le_at[lo], lt_at[hi] = le, lt
         want = [k - le for k in ks if k not in found and le <= k < lt]
         if want:  # one partition; the rank below it is the max of its left part
@@ -109,45 +101,33 @@ def _median_distance(d2: np.ndarray) -> float:
             lo_pos, hi_pos = hi_pos, min(m, max(hi_pos + width, above))
 
 
-def _bracket_pass(d2, rows, corners, lo, hi):
+def _bracket_pass(d2, lo, hi):
     """(count <= lo, count < hi, values strictly between) over d2's upper triangle.
 
-    ``hi`` None counts every value and gathers all those above ``lo``.
+    ``hi`` None counts every value and gathers all those above ``lo``. Each
+    strip of ``upper_strips`` right of its first row's diagonal is copied
+    into one reused buffer and compared into two more.
     """
-    size = max(rows * len(d2), corners.size)
-    at_lo, inside = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    size = max(STRIP_ELEMENTS, len(d2))
+    buf, at_lo, inside = np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     le = lt = 0
     parts = []
-    for vals in _upper_strips(d2, rows, corners):
-        b, u = at_lo[: vals.size], inside[: vals.size]
+    for start, stop, upper in upper_strips(len(d2)):
+        block = d2[start:stop, start:]
+        vals, b, u = (a[: block.size].reshape(block.shape) for a in (buf, at_lo, inside))
+        np.copyto(vals, block)
         np.less_equal(vals, lo, out=b)
-        le += np.count_nonzero(b)
         if hi is None:
-            np.logical_not(b, out=u)
-            lt += vals.size
+            u.fill(True)
         else:
             np.less(vals, hi, out=u)
-            lt += np.count_nonzero(u)
-            np.greater(u, b, out=u)  # < hi and not <= lo
-        parts.append(vals.take(np.flatnonzero(u)))
+        b[:, : stop - start] &= upper
+        u[:, : stop - start] &= upper
+        le += np.count_nonzero(b)
+        lt += np.count_nonzero(u)
+        np.greater(u, b, out=u)  # < hi and not <= lo
+        parts.append(buf.take(np.flatnonzero(u)))
     return le, lt, np.concatenate(parts)
-
-
-def _upper_strips(d2, rows, corners):
-    """The strict upper triangle of d2 as contiguous strips of about rows * n values.
-
-    The rectangle right of each block of ``rows`` rows is copied into one
-    reused buffer; ``corners`` holds the triangles beside the diagonal.
-    """
-    n = len(d2)
-    buf = np.empty(rows * n)
-    for start in range(0, n, rows):
-        block = d2[start : start + rows, start + rows :]
-        if block.size:
-            vals = buf[: block.size]
-            np.copyto(vals.reshape(block.shape), block)
-            yield vals
-    yield corners
 
 
 def _grid_around(med: float) -> np.ndarray:
@@ -165,12 +145,22 @@ def _validated_grid(grid) -> np.ndarray:
     return g
 
 
-def _grid_kernels(kernel_family: str, grid: np.ndarray, median=None) -> list[Kernel]:
-    # built before any work, so a bad value anywhere in the grid fails at once; a
-    # value of an automatic grid (``median`` given) is one the user never passed
+def _grid_kernels(kernel_family: str, grid, points, d2=None) -> tuple[np.ndarray, list[Kernel]]:
+    # The grid, automatic around the median distance of d2 or else of the
+    # stacked points, and its kernels, built before any fit so that a bad value
+    # fails at once; an automatic grid's values are not the user's, so its
+    # error names the median.
+    median = None
+    if grid is None:
+        if d2 is None:
+            median = _sampled_median(np.vstack([p for p in points if len(p)]))
+        else:
+            median = _median_distance(d2)
+        grid = _grid_around(median)
+    grid = _validated_grid(grid)
     Kernel(kernel_family)  # an unknown family is reported as such
     try:
-        return [Kernel(kernel_family, 1.0, float(ls)) for ls in grid]
+        return grid, [Kernel(kernel_family, 1.0, float(ls)) for ls in grid]
     except ValueError:
         if median is None:
             raise
@@ -193,11 +183,11 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
     zero and the kernel is shared across classes, so only the length scale
     matters for the decisions. Squared distances are computed once, and the
     one n x n float64 array of a call holds them; each grid value evaluates
-    the kernel in row strips of about _LOO_STRIP elements into one reused
-    buffer and sums each strip per class while it is in cache. More than
-    MAX_LOO_POINTS points are refused before anything is allocated. With
-    no grid given and at most _MEDIAN_SUBSAMPLE points, the default grid's
-    median is taken from the same distances.
+    the kernel in row strips of about kernels.STRIP_ELEMENTS elements into
+    one reused buffer and sums each strip per class while it is in cache.
+    More than MAX_LOO_POINTS points are refused before anything is
+    allocated. With no grid given and at most _MEDIAN_SUBSAMPLE points, the
+    default grid's median is taken from the same distances.
 
     Each point's own class sum includes the self term C(0) from the
     diagonal, which is then subtracted. The round trip loses own-class
@@ -215,22 +205,15 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
             f"({8 * n * n / 1e9:.1f} GB); above {MAX_LOO_POINTS} points, "
             "subsample with --cv-subsample"
         )
-    d2 = median = None
-    if grid is None:
-        if n <= _MEDIAN_SUBSAMPLE:  # the median's sample is every point
-            d2 = sym_sq_dists(x)
-            median = _median_distance(d2)
-        else:
-            median = _sampled_median(x)
-        grid = _grid_around(median)
-    grid = _validated_grid(grid)
-    kernels = _grid_kernels(kernel_family, grid, median)
+    # the median's sample is every point: its distances are the fit's own
+    d2 = sym_sq_dists(x) if grid is None and n <= _MEDIAN_SUBSAMPLE else None
+    grid, kernels = _grid_kernels(kernel_family, grid, [x], d2)
     if d2 is None:
         d2 = sym_sq_dists(x)
     q = train.num_classes
     onehot = np.zeros((n, q))
     onehot[np.arange(n), y - 1] = 1.0
-    rows = max(1, _LOO_STRIP // n)
+    rows = max(1, STRIP_ELEMENTS // n)
     strip = np.empty((min(rows, n), n))
     class_sums = np.empty((n, q))  # attraction of each point to each class
     errors = np.empty(len(grid))
@@ -266,12 +249,7 @@ def kfold_cv_ssl(
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
         x_u = x_u[:, None]
-    median = None
-    if grid is None:
-        median = _sampled_median(np.vstack([x, x_u]) if len(x_u) else x)
-        grid = _grid_around(median)
-    grid = _validated_grid(grid)
-    kernels = _grid_kernels(kernel_family, grid, median)
+    grid, kernels = _grid_kernels(kernel_family, grid, [x, x_u])
     q = labeled.num_classes
 
     rng = np.random.default_rng(seed)

@@ -33,6 +33,7 @@ _FAMILIES = {
     "exponential": "exp",
 }
 
+STRIP_ELEMENTS = 1 << 16  # entries per row strip of upper_strips and loo_cv (512 KB of float64)
 _SUM_TILE = 512  # training points per row_sums tile
 _CHUNK = 16384  # elements per in-place evaluation chunk (128 KB of float64)
 _EXP_FAST_MIN = -707.0  # np.exp stays on its vector path above about this
@@ -181,6 +182,24 @@ class Kernel:
                 _sq_dists(block, b[start:stop], aa[first : first + rows], bb[start:stop], out=d2)
                 sums += self._from_sqdist(d2, out=d2).sum(axis=1)
         return out
+
+
+def upper_strips(n: int):
+    """(start, stop, upper) for row strips of an n x n matrix's strict upper triangle.
+
+    Strips come in row-major order and hold rows start..stop-1, at most
+    max(STRIP_ELEMENTS, n) matrix entries; the last row, with no entry above
+    the diagonal, is in none. ``upper`` masks the strip's diagonal block:
+    entry (start + i, start + c) lies above the diagonal iff upper[i, c], as
+    does every entry from column stop on.
+    """
+    if n < 2:
+        return
+    rows = min(n, max(1, STRIP_ELEMENTS // n))
+    above = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
+        yield start, stop, above[: stop - start, : stop - start]
 
 
 def _as_points(x) -> np.ndarray:

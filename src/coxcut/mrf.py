@@ -26,6 +26,7 @@ import numpy as np
 
 from .classify import activations_batch
 from .data import Dataset
+from .kernels import upper_strips
 from .simulate import log_product_density
 
 BRUTE_FORCE_GUARD = 2_000_000
@@ -38,7 +39,6 @@ PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
 MAX_SSL_SITES = 8192
 
 _CHUNK = 1 << 16  # labelings per brute-force scan chunk
-_STRIP_ELEMENTS = 1 << 16  # gram entries per row strip that build_energy selects from
 # Elements per (pairs, triples) margin temporary in check_pairwise_representable.
 _MARGIN_ELEMENTS = 1 << 20
 
@@ -116,9 +116,10 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     Each distinct kernel's gram on the unlabeled sites is evaluated once and
     gives one weight column, C(x*_j - x*_k) for each kept pair; classes that
     share a kernel share its column. The pairs are selected from the grams
-    one row strip at a time, so the grams are the only U x U arrays, and the
-    pairs' site indices are built once the grams are freed. More than
-    MAX_SSL_SITES sites are refused before any U x U array is allocated.
+    along ``kernels.upper_strips``, one row strip at a time, so the grams are
+    the only U x U arrays; the pairs' site indices are built once the grams
+    are freed. More than MAX_SSL_SITES sites are refused before any U x U
+    array is allocated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -161,16 +162,13 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
 
 
 def _strip_pairs(grams, cutoff) -> tuple[list, list]:
-    # The kept pairs j < k of the grams' upper triangle, read in row strips
-    # of about _STRIP_ELEMENTS entries so that no U x U temporary is made.
-    # Returns one list of flat indices j * U + k per strip, in row-major
-    # order, and for each gram one list of the strips' weights.
+    # The kept pairs j < k of the grams' upper triangle, read along the row
+    # strips of ``upper_strips`` so that no U x U temporary is made. Returns
+    # one list of flat indices j * U + k per strip, in row-major order, and
+    # for each gram one list of the strips' weights.
     u = len(grams[0])
-    rows = min(u, max(1, _STRIP_ELEMENTS // u))
-    above = np.triu(np.ones((rows, rows), dtype=bool), 1)
     flats, parts = [], [[] for _ in grams]
-    for start in range(0, u - 1, rows):
-        stop = min(start + rows, u - 1)  # the last site pairs with no later one
+    for start, stop, upper in upper_strips(u):
         blocks = [g[start:stop] for g in grams]
         keep = np.zeros(blocks[0].shape, dtype=bool)
         right = keep[:, start:]  # no pair of the strip lies left of its first row's diagonal
@@ -180,8 +178,7 @@ def _strip_pairs(grams, cutoff) -> tuple[list, list]:
             np.greater_equal(blocks[0][:, start:], cutoff, out=right)
             for b in blocks[1:]:
                 right |= b[:, start:] >= cutoff
-        r = stop - start
-        right[:, :r] &= above[:r, :r]  # row start + i pairs with column start + c iff c > i
+        right[:, : stop - start] &= upper
         flat = np.flatnonzero(keep)
         for part, b in zip(parts, blocks):
             part.append(b.ravel().take(flat))

@@ -13,7 +13,8 @@ import numpy as np
 from _reference_grid import default_lengthscale_grid_reference
 
 from coxcut import Dataset, Kernel
-from coxcut.cv import _LOO_STRIP, _best, _validated_grid
+from coxcut.cv import _best, _validated_grid
+from coxcut.kernels import STRIP_ELEMENTS
 
 
 def loo_cv_reference(train: Dataset, kernel_family: str = "se", grid=None):
@@ -27,7 +28,7 @@ def loo_cv_reference(train: Dataset, kernel_family: str = "se", grid=None):
     q = train.num_classes
     onehot = np.zeros((n, q))
     onehot[np.arange(n), y - 1] = 1.0
-    r = max(1, _LOO_STRIP // n)
+    r = max(1, STRIP_ELEMENTS // n)
     errors = np.empty(len(grid))
     for gi, ls in enumerate(grid):
         kern = Kernel(kernel_family, 1.0, float(ls))

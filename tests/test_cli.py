@@ -287,6 +287,31 @@ class TestPredictEval:
         )
         assert code == 0 and out.startswith("error=0.000000 scored=50 ")
 
+    @pytest.mark.parametrize("truth_labels, data, line", [
+        ("two-class", False, "error=0.500000 scored=60 wrong=30"),
+        ("all-class-1", False, "error=0.000000 scored=60 wrong=0"),
+        ("two-class", True, "error=0.508475 scored=59 wrong=30"),
+    ], ids=["two-class-truth", "one-class-truth", "one-class-data"])
+    def test_eval_scores_a_one_class_prediction(self, tmp_path, capsys, truth_labels, data,
+                                                line):
+        # predict may give every test point class 1; scoring compares labels only
+        truth = load_csv(_gen_circles(tmp_path, capsys, name="gen.csv"))
+        ones = np.ones(truth.n, dtype=np.int64)
+        save_csv(Dataset(truth.covariates, ones, 2), tmp_path / "pred.csv")
+        if truth_labels == "all-class-1":
+            truth = Dataset(truth.covariates, ones, 2)
+        save_csv(truth, tmp_path / "truth.csv")
+        argv = ["eval", "--pred", str(tmp_path / "pred.csv"),
+                "--truth", str(tmp_path / "truth.csv")]
+        if data:  # --data labels one class-1 row, which is then not scored
+            labels = np.zeros(truth.n, dtype=np.int64)
+            labels[np.argmax(truth.labels == 1)] = 1
+            save_csv(Dataset(truth.covariates, labels, 2), tmp_path / "masked.csv")
+            argv += ["--data", str(tmp_path / "masked.csv")]
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert (res.returncode, res.stdout, res.stderr) == (0, line + "\n", "")
+
 
 class TestSsl:
     def test_end_to_end_labels_and_header(self, tmp_path, capsys):
@@ -412,6 +437,38 @@ class TestKernelOverflow:
         )
         assert res.returncode == 0 and res.stderr == ""
         assert load_csv(out).labeled_mask.all()
+
+    # the smallest subnormal, a subnormal, tiny and huge normals, and near the largest float:
+    # the exp kernel takes every positive finite length scale
+    @pytest.mark.parametrize("length_scale", ["5e-324", "1e-310", "1e-300", "1e300", "1.7e308"])
+    def test_exp_length_scales_across_the_float_range(self, tmp_path, capsys, length_scale):
+        data = str(_gen_circles(tmp_path, capsys, labeled_per_class=6))
+        test = load_csv(data).unlabeled_points()  # none is a training point
+        save_csv(Dataset(test, np.zeros(len(test), dtype=np.int64), 2), tmp_path / "test.csv")
+        out = {name: str(tmp_path / name) for name in ("ssl", "predict", "loo", "kfold", "energy")}
+        ls = ["--kernel", "exp", "--lengthscale", length_scale]
+        grid = ["--kernel", "exp", "--grid", length_scale, "--train", data]
+        commands = [
+            ["ssl", "--data", data, *ls, "--out", out["ssl"]],
+            ["predict", "--train", data, "--test", str(tmp_path / "test.csv"), *ls,
+             "--out", out["predict"]],
+            ["fit", *grid, "--out", out["loo"]],
+            ["fit", *grid, "--ssl", "--folds", "2", "--out", out["kfold"]],
+            ["energy", "--data", data, *ls, "--dump", out["energy"]],
+        ]
+        # one process runs the five commands; a warning or traceback on the way reaches stderr
+        script = ("import json, sys; from coxcut.cli import run; "
+                  "sys.exit(max(map(run, json.loads(sys.argv[1]))))")
+        res = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                             capture_output=True, text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 0 and res.stderr == ""
+        assert load_csv(out["ssl"]).labeled_mask.all()
+        if length_scale == "5e-324":  # every kernel value between distinct points is 0
+            with open(out["predict"], newline="") as fh:
+                assert {tuple(r[:2]) for r in list(csv.reader(fh))[1:]} == {("0.5", "0.5")}
+        if length_scale == "1.7e308":  # every kernel value is 1: a point's own class is short one
+            with open(out["loo"], newline="") as fh:
+                assert list(csv.reader(fh))[1] == ["1.7e+308", "1.0"]
 
 
 def _module_env():

@@ -6,7 +6,14 @@ import pytest
 
 from _reference_kernels import closed_form, row_sums_reference, sq_dists
 from coxcut import Kernel
-from coxcut.kernels import _CHUNK, _EXP_ZERO, _SUM_TILE, sym_sq_dists
+from coxcut.kernels import (
+    STRIP_ELEMENTS,
+    _CHUNK,
+    _EXP_ZERO,
+    _SUM_TILE,
+    sym_sq_dists,
+    upper_strips,
+)
 
 
 def test_se_at_zero_is_signal_variance():
@@ -282,3 +289,25 @@ def test_sym_sq_dists_symmetric_by_construction(n):
             assert got.tobytes() == _sym_sq_dists_oracle(x).tobytes(), layout
         else:  # computed from a C-contiguous copy
             assert got.tobytes() == sym_sq_dists(np.ascontiguousarray(x)).tobytes(), layout
+
+
+# 256 rows fill one strip exactly; 300 end in a partial strip
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 256, 300, 1000])
+def test_upper_strips_walk_the_strict_upper_triangle_once_in_order(n):
+    empty = np.empty(0, dtype=np.int64)
+    rows, cols, next_start = [empty], [empty], 0
+    for start, stop, upper in upper_strips(n):
+        assert start == next_start < stop <= n - 1
+        assert (stop - start) * n <= max(STRIP_ELEMENTS, n)
+        assert upper.shape == (stop - start, stop - start)
+        keep = np.zeros((stop - start, n), dtype=bool)
+        keep[:, start:stop] = upper
+        keep[:, stop:] = True
+        i, j = np.nonzero(keep)
+        rows.append(i + start)
+        cols.append(j)
+        next_start = stop
+    assert next_start == max(n - 1, 0)
+    ref_i, ref_j = np.triu_indices(n, 1)
+    assert np.array_equal(np.concatenate(rows), ref_i)
+    assert np.array_equal(np.concatenate(cols), ref_j)
