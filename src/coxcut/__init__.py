@@ -36,9 +36,7 @@ from .mincut import (
     QuantizationRecord,
     binary_map,
     build_flow_network,
-    cut_capacity,
     max_flow,
-    node_balances,
 )
 from .mrf import (
     EnergyGraph,
@@ -82,7 +80,6 @@ __all__ = [
     "build_energy",
     "build_flow_network",
     "check_pairwise_representable",
-    "cut_capacity",
     "default_lengthscale_grid",
     "energy_of",
     "expansion_move",
@@ -97,7 +94,6 @@ __all__ = [
     "log_product_density",
     "loo_cv",
     "max_flow",
-    "node_balances",
     "pair_tables",
     "partition",
     "predict_label",

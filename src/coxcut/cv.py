@@ -259,8 +259,6 @@ def kfold_cv_ssl(
         models = shared_models(q, kern)
         fold_errs = []
         for fold in folds:
-            if len(fold) == 0:
-                continue
             keep = np.setdiff1d(np.arange(n), fold)
             train = Dataset(x[keep], y[keep], q)
             pool = np.vstack([x_u, x[fold]]) if len(x_u) else x[fold]

@@ -67,10 +67,10 @@ class FlowNetwork:
 
     Arcs are stored in pairs: arc a and arc a^1 are mutual reverses, and the
     tail of arc a is ``arc_to[a ^ 1]``. Both arcs of a pair may start with
-    capacity, so one pair carries a two-way edge. ``arc_cap`` holds residual
-    capacities and is mutated by ``max_flow``; ``arc_cap0`` keeps the
-    original capacities for cut/conservation checks (``binary_map`` drops
-    it before the solve).
+    capacity, so one pair carries a two-way edge. ``arc_cap`` holds integer
+    capacities and is turned into residuals in place by ``max_flow``, which
+    also checks them; a caller that needs the original capacities after the
+    solve copies them first.
     """
 
     num_nodes: int
@@ -78,7 +78,6 @@ class FlowNetwork:
     sink: int
     arc_to: np.ndarray
     arc_cap: np.ndarray
-    arc_cap0: np.ndarray | None
 
     @classmethod
     def from_arrays(
@@ -89,27 +88,14 @@ class FlowNetwork:
         ``rev_caps``, if given, holds each arc's capacity from head back to
         tail; it defaults to 0 (one-way arcs).
         """
-        tails, heads, caps = (np.asarray(v, dtype=np.int64) for v in (tails, heads, caps))
         arc_cap = np.zeros(2 * len(caps), dtype=np.int64)
         arc_cap[0::2] = caps
         if rev_caps is not None:
             arc_cap[1::2] = rev_caps
-        negative = np.flatnonzero(arc_cap < 0)
-        if len(negative):
-            a = int(negative[0])
-            kind = "reverse capacity" if a & 1 else "capacity"
-            tail, head = tails[a >> 1], heads[a >> 1]
-            raise ValueError(f"negative {kind} {arc_cap[a]} on arc ({tail}, {head})")
         arc_to = np.empty(2 * len(caps), dtype=np.int64)
         arc_to[0::2] = heads
         arc_to[1::2] = tails
-        return cls(num_nodes, source, sink, arc_to, arc_cap, arc_cap.copy())
-
-    @classmethod
-    def from_arcs(cls, num_nodes: int, source: int, sink: int, arcs) -> "FlowNetwork":
-        """Build a network from (tail, head, capacity) triples (integer capacities)."""
-        tails, heads, caps = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
-        return cls.from_arrays(num_nodes, source, sink, tails, heads, caps)
+        return cls(num_nodes, source, sink, arc_to, arc_cap)
 
 
 @dataclass(frozen=True)
@@ -197,17 +183,22 @@ def _push_three_arc_paths(network: FlowNetwork) -> int:
     return int(f.sum())
 
 
-def _check_pair_sums(network: FlowNetwork) -> None:
-    # The sum of an arc pair's two residuals does not change under any flow,
-    # so while it fits in int64 every residual update below is exact.
-    cap = network.arc_cap
+def _check_capacities(network: FlowNetwork) -> None:
+    # Every capacity must be non-negative, and the sum of an arc pair's two
+    # residuals, which no flow changes, must fit in int64, so that every
+    # residual update below is exact. Negatives are refused first, since
+    # _INT64_MAX - cap wraps round for a negative cap.
+    cap, to = network.arc_cap, network.arc_to
+    if cap.min(initial=0) < 0:
+        a = int(np.argmax(cap < 0))
+        kind = "reverse capacity" if a & 1 else "capacity"
+        raise ValueError(f"negative {kind} {cap[a]} on arc ({to[a | 1]}, {to[a & ~1]})")
     over = np.flatnonzero(cap[1::2] > _INT64_MAX - cap[0::2])
     if len(over):
         a = 2 * int(over[0])
-        tail, head = network.arc_to[a + 1], network.arc_to[a]
         total = int(cap[a]) + int(cap[a + 1])
         raise ValueError(
-            f"arc pair ({tail}, {head}) has capacities summing to {total}, above 2**63 - 1"
+            f"arc pair ({to[a + 1]}, {to[a]}) has capacities summing to {total}, above 2**63 - 1"
         )
 
 
@@ -306,12 +297,12 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     and residuals in CSR order, so that no second copy of either is made;
     both are put back in arc order before the call returns or raises.
 
-    Raises ``ValueError`` before touching any capacity if an arc pair's two
-    capacities sum past 2**63 - 1.
+    Raises ``ValueError`` before touching any capacity if a capacity is
+    negative or an arc pair's two capacities sum past 2**63 - 1.
     """
     n, m = network.num_nodes, len(network.arc_to)
     s, t = network.source, network.sink
-    _check_pair_sums(network)
+    _check_capacities(network)
     pushed = _push_three_arc_paths(network)
     # CSR order by tail; each working array is made once the arrays it is
     # built from exist and those it replaces are freed
@@ -421,7 +412,7 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     arc_cap[first : 2 * u : 2] = np.abs(theta[ks])
     arc_cap[first + 1 : 2 * u : 2] = 0
     arc_to, arc_cap = arc_to[first:end], arc_cap[first:end]
-    network = FlowNetwork(u + 2, source, sink, arc_to, arc_cap, arc_cap.copy())
+    network = FlowNetwork(u + 2, source, sink, arc_to, arc_cap)
     return network, QuantizationRecord(scale=scale, offset=offset, bits=bits)
 
 
@@ -453,25 +444,8 @@ def _flip_polish(energy: EnergyGraph, labels: np.ndarray) -> np.ndarray:
 def binary_map(energy: EnergyGraph) -> np.ndarray:
     """Minimum-energy binary labeling (source side = class 1)."""
     network, _ = build_flow_network(energy)
-    network.arc_cap0 = None  # only the cut and balance checks read it, not max_flow
     _, source_side = max_flow(network)
     del network  # freed before the polish allocates its own arrays
     labels = np.where(source_side[: energy.num_sites], 1, 2).astype(np.int64)
     return _flip_polish(energy, labels)
 
-
-def cut_capacity(network: FlowNetwork, source_side: np.ndarray) -> int:
-    """Total original capacity of arcs from the source side to the sink side."""
-    tails = network.arc_to[np.arange(len(network.arc_to)) ^ 1]
-    crossing = source_side[tails] & ~source_side[network.arc_to]
-    return int(network.arc_cap0[crossing].sum())
-
-
-def node_balances(network: FlowNetwork) -> np.ndarray:
-    """Net outflow per node under the current flow (exact integer arithmetic)."""
-    balance = np.zeros(network.num_nodes, dtype=np.int64)
-    even = np.arange(0, len(network.arc_to), 2)
-    net = network.arc_cap0[even] - network.arc_cap[even]  # signed flow tail -> head
-    np.add.at(balance, network.arc_to[even ^ 1], net)
-    np.add.at(balance, network.arc_to[even], -net)
-    return balance

@@ -311,28 +311,6 @@ def _chunk_energies(energy: EnergyGraph, start: int, stop: int) -> tuple[np.ndar
     return digits, e
 
 
-def _scan_min_numpy(energy: EnergyGraph, total: int) -> tuple[np.ndarray, float]:
-    best_e = np.inf
-    best = None
-    for start in range(0, total, _CHUNK):
-        digits, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
-        k = int(np.argmin(e))
-        if e[k] < best_e:
-            best_e = float(e[k])
-            best = digits[k].copy()
-    return best, best_e
-
-
-def _scan_logz_numpy(energy: EnergyGraph, total: int) -> float:
-    acc = -np.inf
-    for start in range(0, total, _CHUNK):
-        _, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
-        neg = -e
-        m = float(neg.max())
-        acc = np.logaddexp(acc, m + np.log(np.exp(neg - m).sum()))
-    return float(acc)
-
-
 def brute_force_map(energy: EnergyGraph) -> tuple[np.ndarray, float]:
     """Exhaustive global minimum; ties resolved to the lexicographically first labeling.
 
@@ -340,12 +318,23 @@ def brute_force_map(energy: EnergyGraph) -> tuple[np.ndarray, float]:
     it is bit-identical to re-evaluations of the same labeling elsewhere.
     """
     total = _guard_instance_size(energy)
-    digits, _ = _scan_min_numpy(energy, total)
-    labeling = digits + 1
+    best_e = np.inf
+    for start in range(0, total, _CHUNK):
+        digits, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
+        k = int(np.argmin(e))
+        if e[k] < best_e:
+            best_e = float(e[k])
+            labeling = digits[k] + 1
     return labeling, energy_of(energy, labeling)
 
 
 def brute_force_log_partition(energy: EnergyGraph) -> float:
     """log sum over all labelings of exp(-E), via streaming log-sum-exp."""
     total = _guard_instance_size(energy)
-    return _scan_logz_numpy(energy, total) - energy.constant
+    acc = -np.inf
+    for start in range(0, total, _CHUNK):
+        _, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
+        neg = -e
+        m = float(neg.max())
+        acc = np.logaddexp(acc, m + np.log(np.exp(neg - m).sum()))
+    return float(acc) - energy.constant

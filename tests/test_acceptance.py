@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from _flow import cut_capacity, node_balances
 from _instances import random_ssl_instance
 from coxcut import (
     ClassModel,
@@ -25,7 +26,6 @@ from coxcut import (
     build_energy,
     build_flow_network,
     check_pairwise_representable,
-    cut_capacity,
     energy_of,
     expansion_move,
     gen_concentric_circles,
@@ -35,7 +35,6 @@ from coxcut import (
     log_product_density,
     loo_cv,
     max_flow,
-    node_balances,
     pair_tables,
     partition,
     predict_labels,
@@ -237,9 +236,10 @@ def test_09_flow_duality_and_conservation():
     for _ in range(200):
         *_, energy = random_ssl_instance(rng, q=2, max_unlabeled=15)
         network, _ = build_flow_network(energy)
+        capacities = network.arc_cap.copy()  # max_flow turns arc_cap into residuals
         flow, side = max_flow(network)
-        assert cut_capacity(network, side) == flow  # exact integers
-        balance = node_balances(network)
+        assert cut_capacity(network, capacities, side) == flow  # exact integers
+        balance = node_balances(network, capacities)
         assert balance[network.source] == flow
         assert balance[network.sink] == -flow
         inner = np.delete(balance, [network.source, network.sink])

@@ -1,12 +1,15 @@
-"""Static checks over the package sources: no dead private name, no unused import.
+"""Static checks over the package sources: no dead private name, no unused import,
+and an ``__all__`` that lists exactly what ``__init__`` imports.
 
-Both scans read the modules with ``ast`` only, so they need no linter.
+The scans read the modules with ``ast`` only, so they need no linter.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import coxcut
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coxcut"
 MODULES = sorted(SRC.glob("*.py"))
@@ -66,3 +69,13 @@ def test_no_unused_import(path):
             if bound not in used:
                 unused.append(f"{bound} (line {node.lineno})")
     assert unused == []
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    tree = _tree(SRC / "__init__.py")
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert sorted(set(imported)) == sorted(imported)
+    assert sorted(set(coxcut.__all__)) == sorted(coxcut.__all__)
+    assert set(imported) == set(coxcut.__all__)
+    assert [name for name in coxcut.__all__ if not hasattr(coxcut, name)] == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _flow import cut_capacity, network_from_arcs, node_balances
 from _instances import random_ssl_instance
 from _reference_flow import reference_max_flow
 from _reference_fold import binary_map_folded, build_flow_network_folded, table_energy
@@ -23,12 +24,10 @@ from coxcut import (
     brute_force_map,
     build_energy,
     build_flow_network,
-    cut_capacity,
     energy_of,
     gen_concentric_circles,
     gen_double_helix,
     max_flow,
-    node_balances,
     partition,
     shared_models,
 )
@@ -51,20 +50,21 @@ def _energy(unary, pairs=None, constant=0.0):
 
 class TestRawNetworks:
     def test_single_arc(self):
-        net = FlowNetwork.from_arcs(2, 0, 1, [(0, 1, 7)])
+        net = network_from_arcs(2, 0, 1, [(0, 1, 7)])
         flow, side = max_flow(net)
         assert flow == 7
         assert side.tolist() == [True, False]
 
     def test_two_disjoint_unit_paths(self):
         arcs = [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)]
-        net = FlowNetwork.from_arcs(4, 0, 3, arcs)
+        net = network_from_arcs(4, 0, 3, arcs)
         flow, _ = max_flow(net)
         assert flow == 2
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            FlowNetwork.from_arcs(2, 0, 1, [(0, 1, -1)])
+        net = network_from_arcs(2, 0, 1, [(0, 1, -1)])
+        with pytest.raises(ValueError, match=r"^negative capacity -1 on arc \(0, 1\)$"):
+            max_flow(net)
 
     def test_random_networks_match_exhaustive_cut(self):
         rng = np.random.default_rng(0)
@@ -75,7 +75,8 @@ class TestRawNetworks:
                 for v in range(n):
                     if u != v and rng.random() < 0.3:
                         arcs.append((u, v, int(rng.integers(0, 20))))
-            net = FlowNetwork.from_arcs(n, 0, n - 1, arcs)
+            net = network_from_arcs(n, 0, n - 1, arcs)
+            cap0 = net.arc_cap.copy()
             flow, side = max_flow(net)
             # oracle: enumerate all 2^8 partitions of the inner nodes
             best = None
@@ -84,7 +85,7 @@ class TestRawNetworks:
                 cost = sum(c for (u, v, c) in arcs if s_side[u] and not s_side[v])
                 best = cost if best is None else min(best, cost)
             assert flow == best
-            assert cut_capacity(net, side) == flow
+            assert cut_capacity(net, cap0, side) == flow
 
     def test_two_way_arcs_match_exhaustive_cut(self):
         rng = np.random.default_rng(10)
@@ -95,33 +96,47 @@ class TestRawNetworks:
             caps = rng.integers(0, 20, len(pairs)) * (rng.random(len(pairs)) < 0.8)
             rev_caps = rng.integers(0, 20, len(pairs)) * (rng.random(len(pairs)) < 0.8)
             net = FlowNetwork.from_arrays(n, 0, n - 1, tails, heads, caps, rev_caps)
-            assert np.array_equal(net.arc_cap0[1::2], rev_caps)
+            assert np.array_equal(net.arc_cap[1::2], rev_caps)
+            cap0 = net.arc_cap.copy()
             ref_flow, ref_side = reference_max_flow(net)
             flow, side = max_flow(net)
             assert flow == _exhaustive_min_cut(net, caps, rev_caps) == ref_flow
             assert np.array_equal(side, ref_side)
-            assert cut_capacity(net, side) == flow
-            balance = node_balances(net)
+            assert cut_capacity(net, cap0, side) == flow
+            balance = node_balances(net, cap0)
             assert balance[0] == flow and np.all(balance[1:-1] == 0)
 
     def test_negative_reverse_capacity_rejected_with_its_arc(self):
+        net = FlowNetwork.from_arrays(3, 0, 2, [0, 1], [1, 2], [1, 1], [0, -2])
         with pytest.raises(ValueError, match=r"^negative reverse capacity -2 on arc \(1, 2\)$"):
-            FlowNetwork.from_arrays(3, 0, 2, [0, 1], [1, 2], [1, 1], [0, -2])
+            max_flow(net)
+
+    @pytest.mark.parametrize("cap, message", [
+        # a negative forward capacity: _INT64_MAX - (-1) wraps round, so the
+        # pair-sum check alone would misreport this pair
+        ([-1, 0, 1, 0], r"^negative capacity -1 on arc \(0, 1\)$"),
+        ([1, 0, 1, -2], r"^negative reverse capacity -2 on arc \(1, 2\)$"),
+    ], ids=["capacity", "reverse-capacity"])
+    def test_max_flow_checks_a_network_built_directly(self, cap, message):
+        # arcs 0 -> 1 and 1 -> 2, not built through from_arrays
+        net = FlowNetwork(3, 0, 2, np.array([1, 0, 2, 1]), np.array(cap, dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            max_flow(net)
+        assert net.arc_cap.tolist() == cap
+        assert net.arc_to.tolist() == [1, 0, 2, 1]
 
 
 def _copy(net):
-    return FlowNetwork(
-        net.num_nodes, net.source, net.sink, net.arc_to.copy(), net.arc_cap.copy(),
-        net.arc_cap0.copy(),
-    )
+    return FlowNetwork(net.num_nodes, net.source, net.sink, net.arc_to.copy(), net.arc_cap.copy())
 
 
-def _assert_feasible_flow(net, value):
-    """Residuals hold a flow of ``value`` from source to sink within the capacities."""
+def _assert_feasible_flow(net, caps, value):
+    """Residuals hold a flow of ``value`` from source to sink within the
+    original capacities ``caps``."""
     assert np.all(net.arc_cap >= 0)
     # flow on a slot is residual capacity moved to its reverse slot
-    assert np.array_equal(net.arc_cap.reshape(-1, 2).sum(1), net.arc_cap0.reshape(-1, 2).sum(1))
-    balance = node_balances(net)
+    assert np.array_equal(net.arc_cap.reshape(-1, 2).sum(1), caps.reshape(-1, 2).sum(1))
+    balance = node_balances(net, caps)
     assert balance[net.source] == value and balance[net.sink] == -value
     assert np.all(np.delete(balance, [net.source, net.sink]) == 0)
 
@@ -168,13 +183,14 @@ class TestBulkPush:
         pushed = []
         for _ in range(150):
             net, caps, rev_caps = _raw_network(rng)
+            cap0 = net.arc_cap.copy()
             pushed.append(mincut._push_three_arc_paths(_copy(net)))
             ref_flow, ref_side = reference_max_flow(net)
             flow, side = max_flow(net)
             assert flow == ref_flow == _exhaustive_min_cut(net, caps, rev_caps)
             assert np.array_equal(side, ref_side)
-            assert cut_capacity(net, side) == flow
-            _assert_feasible_flow(net, flow)
+            assert cut_capacity(net, cap0, side) == flow
+            _assert_feasible_flow(net, cap0, flow)
         assert np.mean(np.array(pushed) > 0) > 0.5  # the push did carry flow
 
     def test_push_alone_is_a_feasible_flow(self):
@@ -183,9 +199,10 @@ class TestBulkPush:
         nets += [build_flow_network(energy)[0] for _, energy in _kernel_energies()]
         carried = 0
         for net in nets:
+            cap0 = net.arc_cap.copy()
             flow, _ = max_flow(_copy(net))
             pushed = mincut._push_three_arc_paths(net)
-            _assert_feasible_flow(net, pushed)
+            _assert_feasible_flow(net, cap0, pushed)
             assert 0 <= pushed <= flow
             carried += pushed > 0
         assert carried > len(nets) // 2
@@ -204,7 +221,7 @@ class TestBulkPush:
         net = FlowNetwork.from_arrays(4, 0, 3, tails, heads, source_caps + loose + sink_caps)
         probe = _copy(net)
         assert mincut._push_three_arc_paths(probe) == total
-        _assert_feasible_flow(probe, total)
+        _assert_feasible_flow(probe, net.arc_cap, total)
         ref_flow, ref_side = reference_max_flow(net)
         flow, side = max_flow(net)
         assert flow == ref_flow == total
@@ -219,7 +236,7 @@ class TestBulkPush:
             4, 0, 3, [0, 1, 1, 1, 1, 2], [1, 2, 2, 2, 2, 3], [10, big, big, big, 5, big]
         )
         probe = _copy(net)
-        _assert_feasible_flow(probe, mincut._push_three_arc_paths(probe))
+        _assert_feasible_flow(probe, net.arc_cap, mincut._push_three_arc_paths(probe))
         ref_flow, ref_side = reference_max_flow(net)
         flow, side = max_flow(net)
         assert flow == ref_flow == 10
@@ -229,8 +246,9 @@ class TestBulkPush:
         net = FlowNetwork.from_arrays(
             4, 0, 3, [0, 1, 2], [1, 2, 3], [10, 10, 10], [limit - 3, 0, 0]
         )
+        cap0 = net.arc_cap.copy()
         assert mincut._push_three_arc_paths(net) == 3
-        _assert_feasible_flow(net, 3)
+        _assert_feasible_flow(net, cap0, 3)
 
     def test_debug_line_adds_up_to_the_flow(self, caplog):
         _, energy = _kernel_energies()[0]
@@ -250,6 +268,7 @@ class TestBulkPush:
 
 def _solve_and_check(caplog, net, exhaustive=None):
     """max_flow against the reference Dinic; returns (Dinic phases logged, source side)."""
+    cap0 = net.arc_cap.copy()
     ref_flow, ref_side = reference_max_flow(net)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="coxcut.mincut"):
@@ -258,8 +277,8 @@ def _solve_and_check(caplog, net, exhaustive=None):
     if exhaustive is not None:
         assert flow == exhaustive
     assert np.array_equal(side, ref_side)
-    assert cut_capacity(net, side) == flow
-    _assert_feasible_flow(net, flow)
+    assert cut_capacity(net, cap0, side) == flow
+    _assert_feasible_flow(net, cap0, flow)
     (record,) = [r for r in caplog.records if r.name == "coxcut.mincut"]
     return int(re.findall(r"\d+", record.getMessage())[-1]), side
 
@@ -342,7 +361,7 @@ class TestPhaseLoop:
         # sends 3 along s-a-b-e-c-d-sink.
         arcs = [(0, 1, 20), (1, 2, 20), (2, 3, 10), (3, 5, 3), (3, 4, 10), (4, 5, 10),
                 (2, 6, 10), (6, 3, 5)]
-        net = FlowNetwork.from_arcs(7, 0, 5, arcs)
+        net = network_from_arcs(7, 0, 5, arcs)
         caps = np.array([c for *_, c in arcs])
         phases, side = _solve_and_check(caplog, net, _exhaustive_min_cut(net, caps, 0 * caps))
         assert phases == 3 and side.tolist() == [True, True, True, True, False, False, True]
@@ -361,7 +380,7 @@ class TestPhaseLoop:
         assert _solve_and_check(caplog, net, exhaustive)[0] >= 1
 
     def test_source_without_out_arcs(self, caplog):
-        net = FlowNetwork.from_arcs(4, 0, 3, [(1, 0, 5), (1, 2, 5), (2, 3, 5)])
+        net = network_from_arcs(4, 0, 3, [(1, 0, 5), (1, 2, 5), (2, 3, 5)])
         phases, side = _solve_and_check(caplog, net, 0)
         assert phases == 0 and side.tolist() == [True, False, False, False]
 
@@ -372,7 +391,7 @@ class TestPhaseLoop:
 
     def test_unreachable_sink(self, caplog):
         arcs = [(0, 1, 4), (1, 2, 3), (2, 0, 2), (3, 4, 9), (4, 3, 1)]
-        net = FlowNetwork.from_arcs(5, 0, 4, arcs)
+        net = network_from_arcs(5, 0, 4, arcs)
         phases, side = _solve_and_check(caplog, net, 0)
         assert phases == 0 and side.tolist() == [True, True, True, False, False]
 
@@ -429,7 +448,7 @@ class TestBuildFlowNetwork:
     def test_zero_energy_all_zero_capacities(self):
         energy = _energy(np.zeros((3, 2)), pairs=[(0, 1, [0.0, 0.0])])
         net, rec = build_flow_network(energy)
-        assert net.arc_cap0.sum() == 0
+        assert net.arc_cap.sum() == 0
         flow, _ = max_flow(net)
         assert flow == 0 and rec.offset == 0
 
@@ -447,7 +466,7 @@ class TestBuildFlowNetwork:
         net, rec = build_flow_network(energy)
         for labs in product([1, 2], repeat=2):
             side = np.array([lab == 1 for lab in labs] + [True, False])
-            cut = cut_capacity(net, side)
+            cut = cut_capacity(net, net.arc_cap, side)
             true_e = energy_of(energy, list(labs))
             assert abs((cut + rec.offset) / rec.scale - true_e) <= 4 * 0.5 / rec.scale
 
@@ -495,11 +514,12 @@ class TestSolveMemory:
         monkeypatch.setattr(mincut, "_blocking_flow", interrupted)
         net, _ = build_flow_network(_kernel_energies()[0][1])
         heads, pair_sums = net.arc_to.copy(), net.arc_cap.reshape(-1, 2).sum(axis=1)
+        cap0 = net.arc_cap.copy()
         with pytest.raises(KeyboardInterrupt):
             max_flow(net)
         assert np.array_equal(net.arc_to, heads)
         assert np.array_equal(net.arc_cap.reshape(-1, 2).sum(axis=1), pair_sums)
-        assert not np.array_equal(net.arc_cap, net.arc_cap0)  # the bulk push had run
+        assert not np.array_equal(net.arc_cap, cap0)  # the bulk push had run
 
     @pytest.mark.parametrize("length_scale", [0.3, 10.0])
     def test_flow_stage_peak_per_arc_pair(self, length_scale):
@@ -564,9 +584,10 @@ class TestDualityConservation:
         for _ in range(60):
             *_, energy = random_ssl_instance(rng, q=2)
             net, _ = build_flow_network(energy)
+            cap0 = net.arc_cap.copy()
             flow, side = max_flow(net)
-            assert cut_capacity(net, side) == flow
-            balance = node_balances(net)
+            assert cut_capacity(net, cap0, side) == flow
+            balance = node_balances(net, cap0)
             inner = np.delete(balance, [net.source, net.sink])
             assert np.all(inner == 0)
             assert balance[net.source] == flow
@@ -583,7 +604,7 @@ class TestQuantizationSoundness:
             bound = u * u * 0.5 / rec.scale
             for labs in product([1, 2], repeat=u):
                 side = np.array([lab == 1 for lab in labs] + [True, False])
-                cut = cut_capacity(net, side)
+                cut = cut_capacity(net, net.arc_cap, side)
                 quantized = (cut + rec.offset) / rec.scale
                 true_e = energy_of(energy, list(labs)) - energy.constant
                 assert abs(quantized - true_e) <= bound
@@ -613,7 +634,7 @@ class TestQuantizationSoundness:
             quantized = sum(int(qu[k, x]) for k, x in enumerate(labs))
             quantized += sum(int(qt[p, labs[i], labs[j]]) for p, (i, j) in enumerate(chosen))
             side = np.array([x == 0 for x in labs] + [True, False])
-            assert cut_capacity(net, side) + rec.offset == quantized
+            assert cut_capacity(net, net.arc_cap, side) + rec.offset == quantized
 
 
 @cache
@@ -664,12 +685,13 @@ class TestAgainstReferenceSolver:
         for name, energy in instances:
             assert 150 <= energy.num_sites <= 400, name
             net, _ = build_flow_network(energy)
+            cap0 = net.arc_cap.copy()
             ref_flow, ref_side = reference_max_flow(net)
             flow, side = max_flow(net)
             assert flow == ref_flow, name
             assert np.array_equal(side, ref_side), name
-            assert cut_capacity(net, side) == flow, name
-            balance = node_balances(net)
+            assert cut_capacity(net, cap0, side) == flow, name
+            balance = node_balances(net, cap0)
             assert balance[net.source] == flow, name
             assert np.all(np.delete(balance, [net.source, net.sink]) == 0), name
             ref_labels = mincut._flip_polish(energy, np.where(ref_side[: energy.num_sites], 1, 2))
@@ -714,8 +736,8 @@ class TestAgainstReferenceNetwork:
             u = energy.num_sites
             for labs in product([True, False], repeat=u):
                 side = np.array([*labs, True, False])
-                cut = cut_capacity(net, side) + rec.offset
-                assert cut == cut_capacity(ref, side) + ref_rec.offset
+                cut = cut_capacity(net, net.arc_cap, side) + rec.offset
+                assert cut == cut_capacity(ref, ref.arc_cap, side) + ref_rec.offset
             flow, side = max_flow(net)
             ref_flow, ref_side = max_flow(ref)
             assert flow + rec.offset == ref_flow + ref_rec.offset
@@ -741,7 +763,6 @@ def _assert_same_network(energy, name=""):
     assert net.num_nodes == ref.num_nodes, name
     assert net.arc_to.tobytes() == ref.arc_to.tobytes(), name
     assert net.arc_cap.tobytes() == ref.arc_cap.tobytes(), name
-    assert net.arc_cap0.tobytes() == ref.arc_cap0.tobytes(), name
     assert (rec.scale, rec.bits, rec.offset) == (ref_rec.scale, ref_rec.bits, ref_rec.offset), name
 
 

@@ -31,7 +31,7 @@ from coxcut import (
     shared_models,
 )
 from coxcut import mrf
-from coxcut.mrf import PAIR_CUTOFF, _scan_logz_numpy, _scan_min_numpy
+from coxcut.mrf import PAIR_CUTOFF
 
 
 def _hand_energy(unary, pairs=None, constant=0.0):
@@ -577,10 +577,12 @@ class TestBruteForce:
         lab, e = brute_force_map(energy)
         assert lab.tolist() == [2] and e == pytest.approx(-0.2)
 
-    def test_zero_energy_lexicographic_tie_break(self):
+    def test_zero_energy_lexicographic_tie_break(self, monkeypatch):
         energy = _hand_energy(np.zeros((4, 3)))
-        lab, e = brute_force_map(energy)
-        assert lab.tolist() == [1, 1, 1, 1] and e == 0.0
+        for chunk in (mrf._CHUNK, 5):  # a tie within one chunk, then across chunks
+            monkeypatch.setattr(mrf, "_CHUNK", chunk)
+            lab, e = brute_force_map(energy)
+            assert lab.tolist() == [1, 1, 1, 1] and e == 0.0
 
     def test_guard_rejects_large_instances(self):
         energy = _hand_energy(np.zeros((21, 2)))
@@ -599,19 +601,24 @@ class TestBruteForce:
         expect = np.logaddexp.reduce(-col[0])
         assert brute_force_log_partition(energy) == pytest.approx(expect, rel=1e-12)
 
-    def test_scan_implementations_bit_identical(self):
+    def test_scan_implementations_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(7)
+        one_chunk = mrf._CHUNK
         for _ in range(25):
             q = int(rng.integers(2, 4))
             *_, energy = random_ssl_instance(rng, q=q, max_unlabeled=7)
-            total = q**energy.num_sites
-            dn, en = _scan_min_numpy(energy, total)
+            _, e = mrf._chunk_energies(energy, 0, q**energy.num_sites)
             tables = pair_tables(energy)
             dl, el = _scan_min_loop(energy.unary, energy.pair_i, energy.pair_j, tables)
-            assert np.array_equal(dn, dl) and en == el
-            zn = _scan_logz_numpy(energy, total)
             zl = _scan_logz_loop(energy.unary, energy.pair_i, energy.pair_j, tables)
-            assert zn == pytest.approx(zl, rel=1e-12)
+            assert e.min() == el
+            # one chunk, then chunks of 5 labelings that split every scan
+            for chunk in (one_chunk, 5):
+                monkeypatch.setattr(mrf, "_CHUNK", chunk)
+                labeling, _ = brute_force_map(energy)
+                assert np.array_equal(labeling, dl + 1)
+                z = brute_force_log_partition(energy) + energy.constant
+                assert z == pytest.approx(zl, rel=1e-12)
 
     def test_map_beats_random_labelings(self):
         rng = np.random.default_rng(8)
