@@ -21,6 +21,7 @@ are written into the caller's buffer, exactly symmetric within one point set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,22 @@ class Kernel:
             d2 = np.sum(s * s, axis=-1)
         out = self._from_sqdist(d2)
         return float(out) if np.ndim(out) == 0 else out
+
+    def reach_sq_dist(self, cutoff) -> float:
+        """Squared distance within which C can reach ``cutoff``: 2 l^2 t (se) or
+        (l t)^2 (exp), with t = ln(signal_variance / cutoff) widened by ln 2.
+
+        The margin, a factor 2 in C, covers the rounding of C, even of a
+        subnormal exp or product. t < 0 gives -inf; a cutoff of None or
+        <= 0, or an overflow, gives inf.
+        """
+        if cutoff is None or cutoff <= 0:
+            return math.inf
+        t = math.log(self.signal_variance) - math.log(cutoff) + math.log(2.0)
+        if not t >= 0:  # NaN too: C >= NaN holds nowhere
+            return -math.inf
+        ls = self.length_scale
+        return 2.0 * ls * ls * t if self.family == "se" else (ls * t) * (ls * t)
 
     def _from_sqdist(self, d2, out=None):
         """C at squared distances ``d2``, written into ``out`` when given.

@@ -354,12 +354,7 @@ def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRe
     """
     if energy.num_labels != 2:
         raise ValueError(f"min-cut reduction needs a binary energy, got Q={energy.num_labels}")
-    # NaN or inf entries would quantize to garbage; a maximum is NaN or inf
-    # exactly when some entry is (weights are finite by construction)
-    unary_max = float(np.abs(energy.unary).max(initial=0.0))
-    if not math.isfinite(unary_max):
-        k = int(np.flatnonzero(~np.isfinite(energy.unary).all(axis=1))[0])
-        raise ValueError(f"non-finite unary energy at site {k}: {energy.unary[k].tolist()}")
+    unary_max = float(np.abs(energy.unary).max(initial=0.0))  # finite: EnergyGraph holds it
     c1, c2 = energy.column.tolist()
     w1, w2 = energy.weights[:, c1], energy.weights[:, c2]  # -E(1,1) and -E(2,2)
 

@@ -26,15 +26,14 @@ import numpy as np
 
 from .classify import activations_batch
 from .data import Dataset
-from .kernels import upper_strips
+from .kernels import sym_sq_dists, upper_strips
 from .simulate import log_product_density
 
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
 PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
-# Largest unlabeled set. Each distinct kernel's U x U float64 gram (0.54 GB at
-# this size) is evaluated in place and the kept pairs are selected from it one
-# row strip at a time, so k kernels hold 8 k U^2 bytes of U x U arrays. The
+# Largest unlabeled set. Pairs are picked from one U x U float64 matrix of
+# squared distances (0.54 GB at this size), one row strip at a time. The
 # arrays proportional to the kept pairs come on top and are not counted here.
 MAX_SSL_SITES = 8192
 
@@ -73,6 +72,9 @@ class EnergyGraph:
         w = self.weights
         if self.pair_j.shape != (p,) or w.ndim != 2 or len(w) != p or self.column.shape != (q,):
             raise ValueError("pairwise arrays are inconsistent with the unary table")
+        if not np.isfinite(self.unary).all():
+            k = int(np.flatnonzero(~np.isfinite(self.unary).all(axis=1))[0])
+            raise ValueError(f"non-finite unary energy at site {k}: {self.unary[k].tolist()}")
         if p and (self.pair_i.min() < 0 or self.pair_j.max() >= u):
             raise ValueError("pair site indices out of range")
         if p and np.any(self.pair_i >= self.pair_j):
@@ -113,13 +115,13 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     A site pair j < k is kept when some class kernel has C(x*_j - x*_k) >=
     ``cutoff``; every pair is kept when ``cutoff`` is None. Kept pairs come
     in row-major order (by j, then k), the order of ``np.triu_indices``.
-    Each distinct kernel's gram on the unlabeled sites is evaluated once and
-    gives one weight column, C(x*_j - x*_k) for each kept pair; classes that
-    share a kernel share its column. The pairs are selected from the grams
-    along ``kernels.upper_strips``, one row strip at a time, so the grams are
-    the only U x U arrays; the pairs' site indices are built once the grams
-    are freed. More than MAX_SSL_SITES sites are refused before any U x U
-    array is allocated.
+    The pairs within the largest ``Kernel.reach_sq_dist(cutoff)``, a squared
+    distance that every pair with some C >= ``cutoff`` lies within, are read
+    from one U x U array of squared distances along ``kernels.upper_strips``.
+    Each distinct kernel is evaluated once, on these pairs only, and gives
+    one weight column, C(x*_j - x*_k) for each kept pair; classes that share
+    a kernel share its column. More than MAX_SSL_SITES sites are refused
+    before any U x U array is allocated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -130,9 +132,8 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     kernels = list(dict.fromkeys(m.kernel for m in models))  # distinct, in class order
     if u > MAX_SSL_SITES:
         raise ValueError(
-            f"{u} unlabeled sites need {len(kernels) * 8 * u * u / 1e9:.1f} GB of "
-            f"{u}x{u} float64 kernel matrices (one per distinct kernel); the limit is "
-            f"{MAX_SSL_SITES} sites"
+            f"{u} unlabeled sites need {8 * u * u / 1e9:.1f} GB for the {u}x{u} "
+            f"float64 squared distances; the limit is {MAX_SSL_SITES} sites"
         )
     if not np.all(np.isfinite(x_u)):
         raise ValueError("unlabeled covariates contain non-finite values")
@@ -149,50 +150,37 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     unary = -activations_batch(models, labeled, x_u)
     # 0.0 - j rather than -j keeps a labeled block of log density exactly 0 at +0.0
     constant = 0.0 - joint_unnormalized_log_prob(models, Dataset(*labeled.labeled(), q))
-    grams = [k.gram(x_u) for k in kernels]
-    flats, parts = _strip_pairs(grams, cutoff)
-    del grams  # only arrays proportional to the kept pairs remain
-    p = sum(map(len, flats))
-    weights = np.empty((p, len(kernels)))
-    for k, part in enumerate(parts):
-        _join(part, weights[:, k])
-    pi, pj = np.divmod(_join(flats, np.empty(p, dtype=np.int64)), u)
+    limit = max(k.reach_sq_dist(cutoff) for k in kernels)
+    flat, d2 = map(np.concatenate, _strip_pairs(sym_sq_dists(x_u), limit))  # frees the U x U
+    weights = np.column_stack([k._from_sqdist(d2) for k in kernels])
+    del d2
+    if cutoff is not None:
+        keep = (weights >= cutoff).any(axis=1)
+        flat, weights = flat[keep], weights[keep]
+    pi, pj = np.divmod(flat, u)
     column = [kernels.index(m.kernel) for m in models]
     return EnergyGraph(unary, pi, pj, weights, column, constant)
 
 
-def _strip_pairs(grams, cutoff) -> tuple[list, list]:
-    # The kept pairs j < k of the grams' upper triangle, read along the row
-    # strips of ``upper_strips`` so that no U x U temporary is made. Returns
+def _strip_pairs(d2, limit) -> tuple[list, list]:
+    # The pairs j < k whose squared distance is not above ``limit`` (nor is a
+    # NaN), read along ``upper_strips`` so that no U x U temporary is made:
     # one list of flat indices j * U + k per strip, in row-major order, and
-    # for each gram one list of the strips' weights.
-    u = len(grams[0])
-    flats, parts = [], [[] for _ in grams]
+    # one of their squared distances, each led by an empty array.
+    u = len(d2)
+    flats, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for start, stop, upper in upper_strips(u):
-        blocks = [g[start:stop] for g in grams]
-        keep = np.zeros(blocks[0].shape, dtype=bool)
+        strip = d2[start:stop]
+        keep = np.zeros(strip.shape, dtype=bool)
         right = keep[:, start:]  # no pair of the strip lies left of its first row's diagonal
-        if cutoff is None:
-            right.fill(True)
-        else:
-            np.greater_equal(blocks[0][:, start:], cutoff, out=right)
-            for b in blocks[1:]:
-                right |= b[:, start:] >= cutoff
+        np.greater(strip[:, start:], limit, out=right)
+        np.logical_not(right, out=right)
         right[:, : stop - start] &= upper
         flat = np.flatnonzero(keep)
-        for part, b in zip(parts, blocks):
-            part.append(b.ravel().take(flat))
+        dists.append(strip.ravel().take(flat))
         flat += start * u
         flats.append(flat)
-    return flats, parts
-
-
-def _join(parts: list, out: np.ndarray) -> np.ndarray:
-    # Concatenate ``parts`` into ``out`` and empty the list, freeing them.
-    if parts:
-        np.concatenate(parts, out=out)
-        parts.clear()
-    return out
+    return flats, dists
 
 
 def joint_unnormalized_log_prob(models, dataset: Dataset) -> float:

@@ -386,6 +386,7 @@ class TestSiteLimit:
 
         monkeypatch.setattr(Kernel, "gram", forbidden)
         monkeypatch.setattr(Kernel, "cross", forbidden)
+        monkeypatch.setattr(coxcut.mrf, "sym_sq_dists", forbidden)  # build_energy's U x U array
         data = str(oversized_ssl_csv)
         argv = {
             "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(tmp_path / "o.csv")],

@@ -6,6 +6,7 @@ import pytest
 
 from _reference_kernels import closed_form, row_sums_reference, sq_dists
 from coxcut import Kernel
+from coxcut.mrf import PAIR_CUTOFF
 from coxcut.kernels import (
     STRIP_ELEMENTS,
     _CHUNK,
@@ -311,3 +312,31 @@ def test_upper_strips_walk_the_strict_upper_triangle_once_in_order(n):
     ref_i, ref_j = np.triu_indices(n, 1)
     assert np.array_equal(np.concatenate(rows), ref_i)
     assert np.array_equal(np.concatenate(cols), ref_j)
+
+
+class TestReachSqDist:
+    """The squared distance within which C can still reach a cutoff."""
+
+    @pytest.mark.parametrize("family", ["se", "exp"])
+    @pytest.mark.parametrize(
+        "variance, length_scale, cutoff",
+        [(1.0, 1.0, PAIR_CUTOFF), (1e-6, 0.1, 1e-20), (1e6, 3.0, 1e-12), (2.0, 0.5, 1.5)],
+    )
+    def test_kernel_at_the_limit_is_half_the_cutoff(self, family, variance, length_scale, cutoff):
+        # widened by ln 2: every distance where the exact C reaches cutoff / 2 is within
+        k = Kernel(family, variance, length_scale)
+        at_limit = k.eval(math.sqrt(k.reach_sq_dist(cutoff)))
+        assert at_limit == pytest.approx(cutoff / 2, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("family", ["se", "exp"])
+    def test_edge_cutoffs(self, family):
+        k = Kernel(family, 1.0, 1.0)
+        for cutoff in (None, 0.0, -0.0, -1.0):  # every pair
+            assert k.reach_sq_dist(cutoff) == math.inf
+        for cutoff in (2.5, math.inf, math.nan):  # no pair: C(0) = 1 < cutoff / 2, or NaN
+            assert k.reach_sq_dist(cutoff) == -math.inf
+
+    def test_overflow_gives_inf(self):
+        # RuntimeWarnings are errors in this suite
+        assert Kernel("se", 1.0, 9e153).reach_sq_dist(PAIR_CUTOFF) == math.inf
+        assert Kernel("exp", 1e300, 1e300).reach_sq_dist(1e-300) == math.inf

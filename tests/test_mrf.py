@@ -106,10 +106,30 @@ class TestBuildEnergy:
         u, p = energy.num_sites, energy.num_pairs
         assert energy.weights.shape == (p, 1) and energy.weights.nbytes == 8 * p
         assert 0.2 < p / (u * (u - 1) / 2) < 0.8
-        # the gram and 32 bytes per kept pair (flat index, site indices,
-        # weight); the pairs are selected strip by strip, so no U x U mask is
-        # made: measured 0.89 of this
+        # the squared distances and 32 bytes per kept pair (flat index, site
+        # indices, weight); the pairs are selected strip by strip, so no U x U
+        # mask is made: measured 0.89 of this
         assert peak < 1.1 * (8 * u * u + 32 * p)
+
+    def test_two_kernels_hold_one_sites_by_sites_array(self):
+        # the pairs of both kernels come from one U x U array of squared
+        # distances, where one gram per distinct kernel took two
+        ds = gen_double_helix(500, 1.0, 1.5, 2.0, 0.04, 1)
+        labeled, heldout = partition(ds, 10, 1)
+        models = [ClassModel(0.0, Kernel(f, 1.0, ls)) for f, ls in (("se", 0.08), ("exp", 0.02))]
+        build_energy(models, labeled, heldout.covariates)  # untraced first call
+        tracemalloc.start()
+        try:
+            energy = build_energy(models, labeled, heldout.covariates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u, p = energy.num_sites, energy.num_pairs
+        assert energy.weights.shape == (p, 2)
+        assert 0 < p / (u * (u - 1) / 2) < 0.1  # sparse, so the U x U arrays dominate
+        # the distances and 40 bytes per kept pair (flat index, site indices,
+        # two weights): measured 0.96 of this, and 1.88 with two grams
+        assert peak < 1.1 * (8 * u * u + 40 * p)
 
     def test_dimension_mismatch(self):
         models = shared_models(2, Kernel("se"))
@@ -192,6 +212,50 @@ class TestEnergyMatchesReference:
             )
             for cutoff in (PAIR_CUTOFF, 0.05, None):
                 self._assert_same(models, labeled, unlabeled, cutoff=cutoff)
+
+
+_POWERS_OF_TEN = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestKeptPairsAtAnyCutoff:
+    """The pairs picked by distance against the all-pairs oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u, d = data.draw(st.integers(2, 24)), data.draw(st.integers(1, 3))
+        x = rng.uniform(0.0, 1.0, (u, d))
+        if data.draw(st.booleans()):
+            x[-1] = x[0]  # a pair at distance 0
+        kernels = data.draw(st.lists(
+            st.builds(Kernel, st.sampled_from(["se", "exp"]), _POWERS_OF_TEN,
+                      st.floats(-2.5, 0.5).map(lambda e: 10.0**e)),
+            min_size=1, max_size=3, unique=True,
+        ))
+        q = data.draw(st.integers(max(2, len(kernels)), 4))
+        models = [ClassModel(0.0, kernels[a % len(kernels)]) for a in range(q)]
+        c0 = max(k.signal_variance for k in kernels)  # the largest C(0)
+        every = build_energy_reference(models, None, x, cutoff=None).tables
+        weights = np.unique(-every[:, np.arange(q), np.arange(q)])
+        weight = float(data.draw(st.sampled_from(weights.tolist())))
+        cutoff = data.draw(st.sampled_from([
+            PAIR_CUTOFF, None, 0.0, -1.0, c0, float(np.nextafter(c0, np.inf)), 2.0 * c0,
+            float(np.nextafter(weight, 0.0)), weight, float(np.nextafter(weight, np.inf)),
+        ]))
+        TestEnergyMatchesReference._assert_same(models, None, x, cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [None, 0.0, -1.0, PAIR_CUTOFF])
+    def test_overflowing_distances(self, cutoff):
+        # every squared distance overflows to inf, where C is 0: a cutoff of
+        # None or <= 0 keeps those pairs, and a positive one drops them. The
+        # diagonal's inf - inf is overwritten with 0.
+        x = np.array([[0.0], [1e155], [-1e155]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = TestEnergyMatchesReference._assert_same(
+                shared_models(2, Kernel("se", 1.0, 1.0)), None, x, cutoff=cutoff
+            )
+        assert got.num_pairs == (0 if cutoff == PAIR_CUTOFF else 3)
 
 
 class TestUnaryIsTheNegatedActivation:
@@ -384,7 +448,8 @@ class TestEnergyOf:
 
 
 class TestEnergyGraphWeights:
-    """The type holds only finite non-negative weights, so every pair is representable."""
+    """The type holds only finite non-negative weights, so every pair is
+    representable, and finite unaries."""
 
     @pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
     def test_bad_weight_refused_naming_the_sites(self, bad):
@@ -395,6 +460,14 @@ class TestEnergyGraphWeights:
         assert str(info.value) == (
             f"pair weights at sites (1, 2) must be finite and non-negative: [0.5, {bad!r}]"
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_unary_refused_naming_the_site(self, bad):
+        unary = np.zeros((3, 2))
+        unary[2, 1] = bad
+        with pytest.raises(ValueError) as info:
+            EnergyGraph(unary, [0], [1], [[1.0]], [0, 0])
+        assert str(info.value) == f"non-finite unary energy at site 2: [0.0, {bad!r}]"
 
     def test_zero_weights_accepted(self):
         energy = EnergyGraph(np.zeros((2, 2)), [0], [1], [[0.0, -0.0]], [0, 1])
