@@ -15,12 +15,13 @@ import numpy as np
 from .classify import shared_models
 from .data import Dataset
 from .expansion import ssl_solve
-from .kernels import STRIP_ELEMENTS, Kernel, sym_sq_dists, upper_strips
+from .kernels import STRIP_ELEMENTS, Kernel, _sq_dists, upper_strips
 
 GRID_SIZE = 16
 GRID_SPAN = (0.01, 100.0)  # multiples of the median pairwise distance
 _MEDIAN_SUBSAMPLE = 2048
-# Largest leave-one-out set: at this size its n x n float64 matrix takes about 0.5 GB.
+# Largest leave-one-out set. A call holds a few row strips, but its time grows
+# as n^2 per grid value: at this size each grid value evaluates 67M kernel entries.
 MAX_LOO_POINTS = 8192
 _MEDIAN_SAMPLE = 2**14  # matrix entries whose order statistics bracket the median
 
@@ -29,7 +30,8 @@ def default_lengthscale_grid(covariates, seed: int = 0) -> np.ndarray:
     """Log-spaced grid of GRID_SIZE values spanning GRID_SPAN times the median pairwise distance.
 
     Above _MEDIAN_SUBSAMPLE points the median is taken over a random sample
-    of that many points.
+    of that many points. No n x n array is made: the median is selected from
+    row strips of squared distances computed on the fly.
     """
     return _grid_around(_sampled_median(covariates, seed))
 
@@ -40,25 +42,50 @@ def _sampled_median(covariates, seed: int = 0) -> float:
         x = x[:, None]
     if len(x) > _MEDIAN_SUBSAMPLE:
         x = x[np.random.default_rng(seed).permutation(len(x))[:_MEDIAN_SUBSAMPLE]]
-    return _median_distance(sym_sq_dists(x))
+    return _median_distance(x)
 
 
-def _median_distance(d2: np.ndarray) -> float:
-    """Median of the distances above the diagonal of a squared-distance matrix.
+def _median_distance(x: np.ndarray) -> float:
+    """Median pairwise distance of the (N, D) points ``x``, exact, from row strips.
 
-    Exact selection by bracketing (Floyd & Rivest 1975) without copying the
-    triangle: _MEDIAN_SAMPLE entries of the C-contiguous matrix, drawn with a
-    fixed seed, give a value bracket [lo, hi] around the middle ranks. One
-    pass over the upper triangle, along ``kernels.upper_strips``, counts the
-    values <= lo and < hi and gathers those strictly between (about 3% of
-    the pairs); ties at a bound are counted, never gathered. A rank the
-    bracket misses widens it on that side, the old bound becoming the new
-    opposite one, so a value tied at it is found from its two counts. The
-    sample only steers the passes: the result is exact for any square
-    matrix, NaN sorting last as in a partition. sqrt is monotone, so the
-    median distance is the mean of the roots of the middle order statistics.
+    The squared distances are those of ``kernels._sq_dists``, computed one
+    strip of ``kernels.upper_strips`` at a time, rows start..stop-1 against
+    the points from start on, into one reused buffer; the selection
+    (_select_median) reads nothing else. Its sample takes the picked point
+    pairs' squared differences, 0 on the diagonal, which only steer it.
     """
-    n = len(d2)
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    aa = np.sum(x * x, axis=1)
+
+    def entries(flat):
+        i, j = np.divmod(flat, n)
+        return np.square(x[i] - x[j]).sum(axis=1)
+
+    def block(start, stop, out):
+        _sq_dists(x[start:stop], x[start:], aa[start:stop], aa[start:], out=out)
+
+    return _select_median(n, entries, block)
+
+
+def _select_median(n: int, entries, block) -> float:
+    """Median of the square roots above the diagonal of an n x n matrix, never stored.
+
+    ``entries(flat)`` gives the matrix entries at the flat indices i * n + j,
+    and ``block(start, stop, out)`` writes rows start..stop-1 from column
+    start on into the (stop - start, n - start) array ``out``. Exact
+    selection by bracketing (Floyd & Rivest 1975): _MEDIAN_SAMPLE entries,
+    drawn with a fixed seed, give a value bracket [lo, hi] around the
+    middle ranks. One pass over the upper triangle, along
+    ``kernels.upper_strips``, counts the values <= lo and < hi and gathers
+    those strictly between (about 3% of the pairs); ties at a bound are
+    counted, never gathered. A rank the bracket misses widens it on that
+    side, the old bound becoming the new opposite one, so a value tied at it
+    is found from its two counts. The sample only steers the passes: the
+    result is exact for any matrix of values above -inf, NaN sorting last as
+    in a partition. sqrt is monotone, so the median is the mean of the roots
+    of the middle order statistics.
+    """
     pairs = n * (n - 1) // 2
     if not pairs:
         return 0.0
@@ -66,7 +93,7 @@ def _median_distance(d2: np.ndarray) -> float:
     # entries drawn at random: a regular stride meets few columns in each row
     # and estimates the median like a subsample of points, much more coarsely
     picks = np.random.default_rng(0).integers(0, n * n, min(n * n, _MEDIAN_SAMPLE))
-    sample = np.sort(d2.reshape(-1).take(picks))
+    sample = np.sort(entries(picks))
     m = int(np.count_nonzero(sample == sample))  # NaNs sort last; no bound comes from them
     # n diagonal zeros then every triangle value twice: rank k of the triangle
     # sits near rank n + 2k of the matrix
@@ -77,7 +104,7 @@ def _median_distance(d2: np.ndarray) -> float:
     while True:
         lo = sample[lo_pos] if lo_pos >= 0 else -np.inf  # no squared distance is below 0
         hi = sample[hi_pos] if hi_pos < m else None  # None: no upper bound, NaN included
-        le, lt, inside = _bracket_pass(d2, lo, hi)
+        le, lt, inside = _bracket_pass(n, block, lo, hi)
         le_at[lo], lt_at[hi] = le, lt
         want = [k - le for k in ks if k not in found and le <= k < lt]
         if want:  # one partition; the rank below it is the max of its left part
@@ -101,30 +128,32 @@ def _median_distance(d2: np.ndarray) -> float:
             lo_pos, hi_pos = hi_pos, min(m, max(hi_pos + width, above))
 
 
-def _bracket_pass(d2, lo, hi):
-    """(count <= lo, count < hi, values strictly between) over d2's upper triangle.
+def _bracket_pass(n, block, lo, hi):
+    """(count <= lo, count < hi, values strictly between) over the upper triangle.
 
     ``hi`` None counts every value and gathers all those above ``lo``. Each
-    strip of ``upper_strips`` right of its first row's diagonal is copied
-    into one reused buffer and compared into two more.
+    strip of ``upper_strips`` right of its first row's diagonal is written
+    by ``block`` into one reused buffer, and its entries on and below the
+    diagonal are set to -inf: both counts take them, so they are subtracted,
+    and the gather takes none. The values are compared into two more buffers.
     """
-    size = max(STRIP_ELEMENTS, len(d2))
+    size = max(STRIP_ELEMENTS, n)
     buf, at_lo, inside = np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     le = lt = 0
     parts = []
-    for start, stop, upper in upper_strips(len(d2)):
-        block = d2[start:stop, start:]
-        vals, b, u = (a[: block.size].reshape(block.shape) for a in (buf, at_lo, inside))
-        np.copyto(vals, block)
+    for start, stop, upper in upper_strips(n):
+        h = stop - start
+        vals, b, u = (a[: h * (n - start)].reshape(h, n - start) for a in (buf, at_lo, inside))
+        block(start, stop, vals)
+        np.copyto(vals[:, :h], -np.inf, where=~upper)
         np.less_equal(vals, lo, out=b)
         if hi is None:
             u.fill(True)
         else:
             np.less(vals, hi, out=u)
-        b[:, : stop - start] &= upper
-        u[:, : stop - start] &= upper
-        le += np.count_nonzero(b)
-        lt += np.count_nonzero(u)
+        masked = h * (h + 1) // 2
+        le += np.count_nonzero(b) - masked
+        lt += np.count_nonzero(u) - masked
         np.greater(u, b, out=u)  # < hi and not <= lo
         parts.append(buf.take(np.flatnonzero(u)))
     return le, lt, np.concatenate(parts)
@@ -145,17 +174,14 @@ def _validated_grid(grid) -> np.ndarray:
     return g
 
 
-def _grid_kernels(kernel_family: str, grid, points, d2=None) -> tuple[np.ndarray, list[Kernel]]:
-    # The grid, automatic around the median distance of d2 or else of the
-    # stacked points, and its kernels, built before any fit so that a bad value
-    # fails at once; an automatic grid's values are not the user's, so its
-    # error names the median.
+def _grid_kernels(kernel_family: str, grid, points) -> tuple[np.ndarray, list[Kernel]]:
+    # The grid, automatic around the median distance of the stacked points,
+    # and its kernels, built before any fit so that a bad value fails at
+    # once; an automatic grid's values are not the user's, so its error
+    # names the median.
     median = None
     if grid is None:
-        if d2 is None:
-            median = _sampled_median(np.vstack([p for p in points if len(p)]))
-        else:
-            median = _median_distance(d2)
+        median = _sampled_median(np.vstack([p for p in points if len(p)]))
         grid = _grid_around(median)
     grid = _validated_grid(grid)
     Kernel(kernel_family)  # an unknown family is reported as such
@@ -181,19 +207,21 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
 
     The table has one (length_scale, error) row per grid value. Means are
     zero and the kernel is shared across classes, so only the length scale
-    matters for the decisions. Squared distances are computed once, and the
-    one n x n float64 array of a call holds them; each grid value evaluates
-    the kernel in row strips of about kernels.STRIP_ELEMENTS elements into
-    one reused buffer and sums each strip per class while it is in cache.
-    More than MAX_LOO_POINTS points are refused before anything is
-    allocated. With no grid given and at most _MEDIAN_SUBSAMPLE points, the
-    default grid's median is taken from the same distances.
+    matters for the decisions. The training set is walked once in row
+    strips of about kernels.STRIP_ELEMENTS elements: each strip's squared
+    distances to every point (``kernels._sq_dists``) go into one reused
+    buffer, its own entries set to 0, and while it is in cache every grid
+    value evaluates its kernel into a second buffer, sums it per class and
+    counts the strip's wrong decisions. No n x n array is made. More than
+    MAX_LOO_POINTS points are refused before anything is allocated. With no
+    grid given, the default grid's median is selected from strips the same
+    way (default_lengthscale_grid).
 
-    Each point's own class sum includes the self term C(0) from the
-    diagonal, which is then subtracted. The round trip loses own-class
-    neighbour sums below about 1e-16 * C(0): they read as 0, so at the
-    smallest length scales points are decided as if they had no neighbours
-    of their own class and the error can read near 0.5.
+    Each point's own class sum includes the self term C(0), which is then
+    subtracted. The round trip loses own-class neighbour sums below about
+    1e-16 * C(0): they read as 0, so at the smallest length scales points
+    are decided as if they had no neighbours of their own class and the
+    error can read near 0.5.
     """
     x, y = train.labeled()
     n = len(x)
@@ -201,30 +229,30 @@ def loo_cv(train: Dataset, kernel_family: str = "se", grid=None) -> tuple[float,
         raise ValueError("leave-one-out needs at least two labeled points")
     if n > MAX_LOO_POINTS:
         raise ValueError(
-            f"leave-one-out on {n} points needs one {n}x{n} float64 matrix "
-            f"({8 * n * n / 1e9:.1f} GB); above {MAX_LOO_POINTS} points, "
-            "subsample with --cv-subsample"
+            f"leave-one-out on {n} points takes {n * n:,} kernel evaluations per grid "
+            f"value; above {MAX_LOO_POINTS} points, subsample with --cv-subsample"
         )
-    # the median's sample is every point: its distances are the fit's own
-    d2 = sym_sq_dists(x) if grid is None and n <= _MEDIAN_SUBSAMPLE else None
-    grid, kernels = _grid_kernels(kernel_family, grid, [x], d2)
-    if d2 is None:
-        d2 = sym_sq_dists(x)
+    grid, kernels = _grid_kernels(kernel_family, grid, [x])
     q = train.num_classes
     onehot = np.zeros((n, q))
     onehot[np.arange(n), y - 1] = 1.0
-    rows = max(1, STRIP_ELEMENTS // n)
-    strip = np.empty((min(rows, n), n))
-    class_sums = np.empty((n, q))  # attraction of each point to each class
-    errors = np.empty(len(grid))
-    for gi, kern in enumerate(kernels):
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            k = kern._from_sqdist(d2[start:stop], out=strip[: stop - start])
-            np.matmul(k, onehot, out=class_sums[start:stop])
-        class_sums[np.arange(n), y - 1] -= kern.signal_variance  # drop self term
-        pred = np.argmax(class_sums, axis=1) + 1
-        errors[gi] = float(np.mean(pred != y))
+    aa = np.sum(x * x, axis=1)
+    rows = min(n, max(1, STRIP_ELEMENTS // n))
+    d2_buf, k_buf = np.empty((rows, n)), np.empty((rows, n))
+    class_sums = np.empty((rows, q))  # attraction of each strip point to each class
+    wrong = np.zeros(len(grid), dtype=np.int64)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        h = stop - start
+        d2 = _sq_dists(x[start:stop], x, aa[start:stop], aa, out=d2_buf[:h])
+        d2[np.arange(h), np.arange(start, stop)] = 0.0
+        own = np.arange(h), y[start:stop] - 1
+        for gi, kern in enumerate(kernels):
+            k = kern._from_sqdist(d2, out=k_buf[:h])
+            sums = np.matmul(k, onehot, out=class_sums[:h])
+            sums[own] -= kern.signal_variance  # drop self term
+            wrong[gi] += np.count_nonzero(np.argmax(sums, axis=1) != own[1])
+    errors = wrong / n
     table = np.column_stack([grid, errors])
     return _best(grid, errors), table
 

@@ -20,6 +20,7 @@ small instances.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
 # Largest unlabeled set. Pairs are picked from one U x U float64 matrix of
 # squared distances (0.54 GB at this size), one row strip at a time. The
 # arrays proportional to the kept pairs come on top and are not counted here.
+# The energy's constant takes a dense K x K gram of each labeled class of K
+# points (simulate.log_product_density), so a class is held to the same size.
 MAX_SSL_SITES = 8192
 
 _CHUNK = 1 << 16  # labelings per brute-force scan chunk
@@ -120,8 +123,9 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     from one U x U array of squared distances along ``kernels.upper_strips``.
     Each distinct kernel is evaluated once, on these pairs only, and gives
     one weight column, C(x*_j - x*_k) for each kept pair; classes that share
-    a kernel share its column. More than MAX_SSL_SITES sites are refused
-    before any U x U array is allocated.
+    a kernel share its column. More than MAX_SSL_SITES sites, or a labeled
+    class of more than MAX_SSL_SITES points, are refused before any kernel
+    is evaluated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -146,6 +150,13 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
         raise ValueError(f"labeled data has {labeled.num_classes} classes, got {q} models")
     elif labeled.dim != x_u.shape[1]:
         raise ValueError(f"dimension mismatch: labeled D={labeled.dim}, unlabeled D={x_u.shape[1]}")
+    for a, k in enumerate(labeled.class_counts().tolist()):
+        if k > MAX_SSL_SITES:
+            raise ValueError(
+                f"labeled class {a + 1} has {k} points, whose {k}x{k} float64 gram in the "
+                f"energy's constant needs {8 * k * k / 1e9:.1f} GB; the limit is "
+                f"{MAX_SSL_SITES} points per class"
+            )
 
     unary = -activations_batch(models, labeled, x_u)
     # 0.0 - j rather than -j keeps a labeled block of log density exactly 0 at +0.0
@@ -299,30 +310,50 @@ def _chunk_energies(energy: EnergyGraph, start: int, stop: int) -> tuple[np.ndar
     return digits, e
 
 
+@contextmanager
+def _refuse_overflow():
+    # Every entry is finite, but a labeling's sum of them may still overflow
+    # float64, and inf energies cannot be ranked: refuse before numpy warns.
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ValueError("the energy of some labeling overflows float64; "
+                             "brute force cannot compare the labelings") from None
+
+
 def brute_force_map(energy: EnergyGraph) -> tuple[np.ndarray, float]:
     """Exhaustive global minimum; ties resolved to the lexicographically first labeling.
 
     The reported value is the minimum re-evaluated through ``energy_of`` so
     it is bit-identical to re-evaluations of the same labeling elsewhere.
+    An energy whose evaluation overflows is refused with a ValueError.
     """
     total = _guard_instance_size(energy)
     best_e = np.inf
-    for start in range(0, total, _CHUNK):
-        digits, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
-        k = int(np.argmin(e))
-        if e[k] < best_e:
-            best_e = float(e[k])
-            labeling = digits[k] + 1
-    return labeling, energy_of(energy, labeling)
+    with _refuse_overflow():
+        for start in range(0, total, _CHUNK):
+            digits, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
+            k = int(np.argmin(e))
+            if e[k] < best_e:
+                best_e = float(e[k])
+                labeling = digits[k] + 1
+        return labeling, energy_of(energy, labeling)
 
 
 def brute_force_log_partition(energy: EnergyGraph) -> float:
-    """log sum over all labelings of exp(-E), via streaming log-sum-exp."""
+    """log sum over all labelings of exp(-E), via streaming log-sum-exp.
+
+    An energy whose evaluation overflows is refused with a ValueError.
+    """
     total = _guard_instance_size(energy)
     acc = -np.inf
     for start in range(0, total, _CHUNK):
-        _, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
+        with _refuse_overflow():
+            _, e = _chunk_energies(energy, start, min(start + _CHUNK, total))
         neg = -e
         m = float(neg.max())
-        acc = np.logaddexp(acc, m + np.log(np.exp(neg - m).sum()))
+        # a difference past -inf only gives exp's exact limit, 0
+        with np.errstate(over="ignore"):
+            acc = np.logaddexp(acc, m + np.log(np.exp(neg - m).sum()))
     return float(acc) - energy.constant

@@ -4,9 +4,11 @@ This is the straightforward form of ``coxcut.build_energy``: it evaluates
 ``Kernel.gram`` on the unlabeled sites once per class, fills a table for
 all U(U-1)/2 pairs from ``np.triu_indices`` and only then drops the pairs
 whose entries all lie below the cutoff. It returns the explicit (P, Q, Q)
-tables. ``build_energy`` evaluates one gram per distinct kernel and stores
-one weight column per kernel for the kept pairs only; tests require its
-``pair_tables`` to be bit-identical to these tables.
+tables. ``build_energy`` reads one U x U array of squared distances,
+keeps the pairs within the largest ``Kernel.reach_sq_dist(cutoff)``,
+evaluates each distinct kernel on those pairs only and stores one weight
+column per kernel for the kept pairs; tests require its ``pair_tables``
+to be bit-identical to these tables.
 
 The unary of site k and class a is -(mean_a + C_a(0)/2) minus the site's
 closed-form kernel sum over the labeled points of class a, accumulated over

@@ -401,6 +401,44 @@ class TestSiteLimit:
         assert not any(tmp_path.iterdir())  # no output file was started
 
 
+@pytest.fixture(scope="module")
+def oversized_class_csv(tmp_path_factory):
+    """MAX_SSL_SITES + 1 labeled points of class 1, two of class 2 and four unlabeled."""
+    k = MAX_SSL_SITES + 1
+    x = np.random.default_rng(7).normal(0.0, 1.0, (k + 6, 1))
+    y = np.r_[np.ones(k, dtype=np.int64), 2, 2, np.zeros(4, dtype=np.int64)]
+    path = tmp_path_factory.mktemp("oversized-class") / "big.csv"
+    save_csv(Dataset(x, y, 2), path)
+    return path
+
+
+class TestLabeledClassLimit:
+    @pytest.mark.parametrize("command", ["ssl", "energy"])
+    def test_oversized_class_is_one_line_error(self, oversized_class_csv, tmp_path, capsys,
+                                               monkeypatch, command):
+        def forbidden(*_):
+            raise AssertionError("kernel work before the class size was checked")
+
+        for name in ("gram", "cross", "row_sums"):
+            monkeypatch.setattr(Kernel, name, forbidden)
+        monkeypatch.setattr(coxcut.mrf, "sym_sq_dists", forbidden)
+        data = str(oversized_class_csv)
+        argv = {
+            "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(tmp_path / "o.csv")],
+            "energy": ["energy", "--data", data, "--lengthscale", "1",
+                       "--dump", str(tmp_path / "e.json")],
+        }[command]
+        code, out, err = _run(capsys, *argv)
+        k = MAX_SSL_SITES + 1
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"coxcut: error: labeled class 1 has {k} points, whose {k}x{k} float64 gram in "
+            f"the energy's constant needs {8 * k * k / 1e9:.1f} GB; the limit is "
+            f"{MAX_SSL_SITES} points per class"
+        ]
+        assert not any(tmp_path.iterdir())  # no output file was started
+
+
 class TestLengthScaleRange:
     @pytest.mark.parametrize("length_scale", ["1e200", "1e-300"])
     @pytest.mark.parametrize("command", ["ssl", "predict", "fit", "fit --ssl"])
@@ -629,6 +667,26 @@ class TestFit:
         assert len(err.splitlines()) == 1 and "--cv-subsample" in err
         code, out, _ = _run(capsys, *argv, "--cv-subsample", "200")
         assert code == 0 and "best_lengthscale=" in out
+
+    def test_loo_rss_stays_near_a_bare_import(self, tmp_path):
+        # leave-one-out and its automatic grid hold row strips, not n x n arrays: at
+        # n = 4000 the distances alone would take 128 MB
+        n = 4000
+        x = np.random.default_rng(8).normal(0.0, 1.0, (n, 2))
+        save_csv(Dataset(x, np.arange(n) % 2 + 1, 2), tmp_path / "train.csv")
+
+        def max_rss_mb(*argv):
+            proc = subprocess.Popen([sys.executable, *argv], env=_module_env(),
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_maxrss / 1024  # KB on Linux
+
+        bare = max_rss_mb("-c", "import coxcut.cli")
+        fit = max_rss_mb("-m", "coxcut", "fit", "--train", str(tmp_path / "train.csv"),
+                         "--out", str(tmp_path / "table.csv"))
+        assert fit - bare < 40
 
     @pytest.mark.parametrize("subsample", ["0", "1", "-3"])
     @pytest.mark.parametrize("ssl", [False, True])

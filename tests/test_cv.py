@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _reference_grid import default_lengthscale_grid_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from _reference_grid import default_lengthscale_grid_reference, sq_dist_triangle_reference
 from _reference_loo import loo_cv_reference
 
 from coxcut import (
@@ -19,8 +21,17 @@ from coxcut import (
     ssl_solve,
     Kernel,
 )
-from coxcut.cv import _median_distance
-from coxcut.kernels import sym_sq_dists
+from coxcut.cv import _median_distance, _select_median
+
+# Peak of a cross-validation call's traced allocations: a few row strips of
+# kernels.STRIP_ELEMENTS float64 entries and O(n) vectors, never an n x n array.
+STRIPS_BYTES = 4 << 20
+
+
+def _matrix_median(d2):
+    # the selection fed from a stored matrix: its sample and its strips read d2
+    block = lambda start, stop, out: np.copyto(out, d2[start:stop, start:])  # noqa: E731
+    return _select_median(len(d2), d2.reshape(-1).take, block)
 
 
 def _clusters(n=20, gap=10.0, seed=0):
@@ -125,16 +136,15 @@ class TestLooMatchesReference:
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_is_one_matrix(self):
-        # the distances, one kernel strip and the per-class sums
-        n = 1500
-        assert self._peak_bytes(*_helix_grid(n)) <= 1.25 * n * n * 8
+    # an n x n distance matrix alone takes 72 MB at n = 3000
+    def test_peak_memory_is_strips_not_a_matrix(self):
+        # two strip buffers, the per-class sums and O(n) vectors
+        assert self._peak_bytes(*_helix_grid(3000)) < STRIPS_BYTES
 
-    def test_peak_memory_with_auto_grid(self):
-        # the median is selected from the same distances without copying them
-        n = 1500
-        train, _ = _helix_grid(n)
-        assert self._peak_bytes(train, None) <= 1.25 * n * n * 8
+    def test_peak_memory_with_auto_grid_is_strips_not_a_matrix(self):
+        # the median is selected from strips of the 2048 sampled points
+        train, _ = _helix_grid(3000)
+        assert self._peak_bytes(train, None) < STRIPS_BYTES
 
 
 class TestGridValidatedBeforeWork:
@@ -143,7 +153,7 @@ class TestGridValidatedBeforeWork:
         from coxcut import cv
 
         calls = []
-        monkeypatch.setattr(cv, "sym_sq_dists", lambda x: calls.append(x) or 1 / 0)
+        monkeypatch.setattr(cv, "_sq_dists", lambda *a, **k: calls.append(a) or 1 / 0)
         with pytest.raises(ValueError, match="out of range"):
             loo_cv(_clusters(), "se", [0.5, 1.0, 1e200])
         assert calls == []
@@ -167,8 +177,7 @@ class TestAutoGridOutOfRange:
     def test_one_error_naming_the_median_and_grid(self, scale):
         x = scale * np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
         labeled, unlabeled = Dataset(x, [1, 2, 1, 2], 2), np.zeros((1, 2))
-        d2 = sym_sq_dists(x)
-        median = float(np.median(np.sqrt(d2[np.triu_indices(4, 1)])))
+        median = float(np.median(np.sqrt(sq_dist_triangle_reference(x))))
         expected = (
             "the automatic length-scale grid, 0.01 to 100 times the median pairwise "
             f"distance {median!r}, is out of range for the se kernel; pass --grid"
@@ -276,7 +285,7 @@ class TestDefaultGrid:
             d2 = np.zeros((m, m))
             d2[upper] = vals
             d2.T[upper] = vals
-            assert _median_distance(d2) == float(np.median(np.sqrt(vals)))
+            assert _matrix_median(d2) == float(np.median(np.sqrt(vals)))
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_all_distances_zero_fall_back_to_unit_median(self, n):
@@ -285,8 +294,8 @@ class TestDefaultGrid:
         assert np.array_equal(grid, default_lengthscale_grid_reference(x))
         assert grid[0] == pytest.approx(0.01) and grid[-1] == pytest.approx(100.0)
 
-    def test_peak_memory_above_the_subsample_size(self):
-        # one matrix of the 2048 sampled points; the median copies no triangle
+    def test_peak_memory_above_the_subsample_size_is_strips_not_a_matrix(self):
+        # the 2048 sampled points' matrix alone would take 33.6 MB
         x = np.random.default_rng(5).normal(0.0, 1.0, (3000, 3))
         tracemalloc.start()
         try:
@@ -294,16 +303,23 @@ class TestDefaultGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 2048 * 2048 * 8
+        assert peak < STRIPS_BYTES
 
 
-def _triangle_median(d2):
-    vals = d2[np.triu_indices(len(d2), 1)]
+def _median_of_roots(vals):
     return float(np.median(np.sqrt(vals))) if vals.size else 0.0
 
 
+def _triangle_median(d2):
+    return _median_of_roots(d2[np.triu_indices(len(d2), 1)])
+
+
 class TestMedianDistance:
-    """The bracketed selection against np.median of the roots of the whole triangle."""
+    """The bracketed selection against np.median of the roots of the whole triangle.
+
+    Points go through _median_distance and the restated oracle's triangle;
+    adversarial matrices go straight to the selection through _matrix_median.
+    """
 
     @staticmethod
     def _points(n, layout, seed):
@@ -321,8 +337,25 @@ class TestMedianDistance:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 300, 301, 302, 1000])
     @pytest.mark.parametrize("layout", ["random", "half-duplicated", "all-equal", "integer-grid"])
     def test_matches_median_of_roots(self, n, layout):
-        d2 = sym_sq_dists(self._points(n, layout, n))
-        assert _median_distance(d2) == _triangle_median(d2)
+        x = self._points(n, layout, n)
+        assert _median_distance(x) == _median_of_roots(sq_dist_triangle_reference(x))
+
+    # above 256 points a strip holds fewer rows than the triangle, and most sizes end on a
+    # short last strip
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_oracle_on_drawn_point_sets(self, data):
+        n = data.draw(st.integers(0, 2100), label="n")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="integer grid"):
+            x = rng.integers(0, data.draw(st.integers(1, 6)), (n, dim)).astype(np.float64)
+        else:
+            x = rng.normal(0.0, data.draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, dim))
+        dups = data.draw(st.integers(0, n), label="duplicates")
+        if dups and n:
+            x[rng.integers(0, n, dups)] = x[rng.integers(0, n, dups)]
+        assert _median_distance(x) == _median_of_roots(sq_dist_triangle_reference(x))
 
     @staticmethod
     def _spy_on_passes(monkeypatch):
@@ -344,7 +377,7 @@ class TestMedianDistance:
     @pytest.mark.parametrize("n", [300, 301])
     def test_all_equal_points_take_one_pass_and_gather_nothing(self, n, monkeypatch):
         gathered = self._spy_on_passes(monkeypatch)
-        assert _median_distance(sym_sq_dists(self._points(n, "all-equal", 0))) == 0.0
+        assert _median_distance(self._points(n, "all-equal", 0)) == 0.0
         assert gathered == [0]
 
     def test_a_middle_rank_opening_a_tie_run_is_counted_not_gathered(self, monkeypatch):
@@ -358,7 +391,7 @@ class TestMedianDistance:
         d2[upper] = vals
         d2.T[upper] = vals
         gathered = self._spy_on_passes(monkeypatch)
-        assert _median_distance(d2) == _triangle_median(d2)
+        assert _matrix_median(d2) == _triangle_median(d2)
         assert max(gathered) < 90150
 
     @staticmethod
@@ -379,7 +412,7 @@ class TestMedianDistance:
     def test_exact_when_the_sample_misses(self, n, lower, monkeypatch):
         gathered = self._spy_on_passes(monkeypatch)
         d2 = self._misleading(n, lower, n)
-        assert _median_distance(d2) == _triangle_median(d2)
+        assert _matrix_median(d2) == _triangle_median(d2)
         if lower != "mirror-shuffled":  # a sample from the lower half must widen the bracket
             assert len(gathered) > 1
 
@@ -397,15 +430,15 @@ class TestMedianDistance:
         vals = np.sort(vals)
         half = len(vals) // 2
         mid = vals[half : half + 1] if len(vals) % 2 else vals[half - 1 : half + 1]
-        assert np.array_equal(_median_distance(d2), np.mean(np.sqrt(mid)), equal_nan=True)
+        assert np.array_equal(_matrix_median(d2), np.mean(np.sqrt(mid)), equal_nan=True)
 
-    def test_copies_less_than_a_tenth_of_the_matrix(self):
-        n = 2000
-        d2 = sym_sq_dists(self._points(n, "random", 0))
+    def test_peak_memory_from_points_is_strips_not_a_matrix(self):
+        # the points' matrix alone would take 32 MB
+        x = self._points(2000, "random", 0)
         tracemalloc.start()
         try:
-            _median_distance(d2)
+            _median_distance(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.1 * n * n * 8
+        assert peak < STRIPS_BYTES

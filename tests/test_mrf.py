@@ -664,6 +664,28 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="guard"):
             brute_force_log_partition(energy)
 
+    # two sites whose energies all overflow, then a pair weight that overflows one
+    # labeling's sum; a constant that overflows the minimum's re-evaluation concerns
+    # brute_force_map only, since the log partition leaves the constant out
+    @pytest.mark.parametrize("unary, pairs, constant, oracles", [
+        ([[1e308, 1e308], [1e308, 1e308]], None, 0.0,
+         [brute_force_map, brute_force_log_partition]),
+        ([[-1e308, 0.0], [0.0, 0.0]], [(0, 1, [1e308, 0.0])], 0.0,
+         [brute_force_map, brute_force_log_partition]),
+        ([[-1e308, 0.0]], None, -1e308, [brute_force_map]),
+    ], ids=["unaries", "pair", "constant"])
+    def test_overflowing_energy_is_refused_before_any_warning(self, unary, pairs, constant,
+                                                              oracles):
+        energy = _hand_energy(unary, pairs, constant)
+        for oracle in oracles:
+            with pytest.raises(ValueError, match="overflows float64"):
+                oracle(energy)
+
+    def test_log_partition_of_energies_a_float_range_apart(self):
+        # exp(-E) of the larger energy underflows to exactly 0, without a warning
+        energy = _hand_energy([[1e308, -1e308]])
+        assert brute_force_log_partition(energy) == 1e308
+
     def test_log_partition_uniform(self):
         energy = _hand_energy(np.zeros((5, 3)))
         assert brute_force_log_partition(energy) == pytest.approx(5 * math.log(3), rel=1e-12)
