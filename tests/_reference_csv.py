@@ -2,9 +2,10 @@
 
 Lines are numbered while they are streamed to the CSV reader, covariates
 are written into a numpy matrix one cell at a time and labels into an int64
-vector. ``load_csv`` and ``load_covariates`` read the whole file at once and
-parse into Python lists; tests require both to give identical arrays and
-identical error messages.
+vector. ``load_csv`` and ``load_covariates`` parse a plain numeric file with
+numpy's C reader and any other file, or a file with an error, with a reader
+that reads the whole file at once and parses into Python lists; tests
+require them to give identical arrays and identical error messages.
 """
 
 import csv
@@ -59,10 +60,10 @@ def _covariate_matrix(path, header, rows, cols):
         bad = int(np.argwhere(~np.isfinite(covs))[0][0])
         raise ValueError(f"{path} row {rows[bad][0]}: non-finite covariate value")
     for (line_no, _), row in zip(rows, covs.tolist()):
-        if 8.0 * sum(v * v for v in row) == float("inf"):
+        if (4.0 + 2.0**-18) * sum(v * v for v in row) == float("inf"):
             raise ValueError(
                 f"{path} row {line_no}: covariates too large, "
-                "8 |x|^2 overflows float64 in squared distances"
+                "squared distances up to 4 |x|^2 overflow float64"
             )
     return covs
 

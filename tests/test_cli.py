@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import coxcut
+from _reference_csv import load_covariates_reference, load_csv_reference
 from _reference_energy import build_energy_reference
-from coxcut import Dataset, load_csv, save_csv
+from coxcut import Dataset, load_covariates, load_csv, save_csv
 from coxcut.cli import run
 from coxcut.cv import MAX_LOO_POINTS
 from coxcut.kernels import Kernel
@@ -603,7 +604,7 @@ class TestHugeCovariates:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.splitlines() == [
             f"coxcut: error: {data} row 2: covariates too large, "
-            "8 |x|^2 overflows float64 in squared distances"
+            "squared distances up to 4 |x|^2 overflow float64"
         ]
         assert not out.exists()
 
@@ -895,6 +896,45 @@ class TestCsvBytes:
         assert out == _csv_text(rows[0].split(","), times) + rows[3]
         assert rows[3].startswith("exponent=") and rows[3].endswith("\n")
         assert all(repr(float(t)) == t for _, t in times)
+
+
+class TestFastReader:
+    """Every file the CLI writes loads through numpy's C parser, never the reference reader."""
+
+    def test_cli_files_load_without_the_reference_reader(self, tmp_path, capsys, monkeypatch):
+        def reference_reader(path):
+            raise AssertionError(f"the reference reader ran on {path}")
+
+        monkeypatch.setattr(coxcut.data, "_read_rows", reference_reader)
+        data = _gen_circles(tmp_path, capsys, labeled_per_class=5, truth="truth.csv")
+        saved = tmp_path / "saved.csv"  # '# ' comments, blank labels and CRLF line ends
+        save_csv(load_csv(data), saved, comments=["solve-mode: exact", 'a,"b'])
+        assert b",\r\n" in saved.read_bytes()
+        out = {name: str(tmp_path / f"{name}.csv") for name in ("ssl", "predict", "helix")}
+        for argv in (
+            ["gen", "--shape", "helix", "--n-per-class", "20", "--labeled-per-class", "3",
+             "--out", out["helix"]],
+            ["ssl", "--data", str(data), "--lengthscale", "0.5", "--out", out["ssl"]],
+            ["predict", "--train", str(saved), "--test", str(data), "--lengthscale", "0.5",
+             "--out", out["predict"]],
+            ["eval", "--pred", out["ssl"], "--truth", str(tmp_path / "truth.csv"),
+             "--data", str(data)],
+            ["fit", "--train", str(data), "--grid", "0.5,1", "--folds", "2", "--ssl"],
+            ["simulate", "--window", "-1,-1,1,1", "--grid", "8", "--lengthscale", "1",
+             "--seed", "7", "--out-field", str(tmp_path / "field.csv"),
+             "--out-points", str(tmp_path / "points.csv")],
+        ):
+            code, _, err = _run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        q_max = int(np.iinfo(np.int64).max)
+        for path in (data, tmp_path / "truth.csv", saved, *out.values()):
+            got = load_csv(path, num_classes=q_max)
+            expected = load_csv_reference(path, num_classes=q_max)
+            assert got.covariates.tobytes() == expected.covariates.tobytes()
+            assert got.labels.tolist() == expected.labels.tolist()
+        for path in (data, tmp_path / "field.csv", tmp_path / "points.csv"):
+            got = load_covariates(path)
+            assert got.tobytes() == load_covariates_reference(path).tobytes() and len(got)
 
 
 _COMMAND_NAMES = ["gen", "simulate", "fit", "predict", "ssl", "eval", "bench", "energy"]

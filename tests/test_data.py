@@ -1,5 +1,8 @@
+import csv
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from _reference_csv import load_covariates_reference, load_csv_reference
 from coxcut import (
     Dataset,
     Kernel,
+    data,
     gen_concentric_circles,
     gen_double_helix,
     load_covariates,
@@ -155,8 +159,8 @@ def _datasets(draw):
 
 
 def _too_large(x):
-    """Some row's 8 |x|^2 overflows float64, which the loaders refuse."""
-    return any(8.0 * sum(v * v for v in row) == float("inf") for row in x.tolist())
+    """Some row's (4 + 2**-18) |x|^2 overflows float64, which the loaders refuse."""
+    return any((4.0 + 2.0**-18) * sum(v * v for v in row) == float("inf") for row in x.tolist())
 
 
 def _saved(ds, directory, comments=None):
@@ -214,6 +218,11 @@ def _outcome(load, path, **kw):
         got = load(path, **kw)
     except Exception as e:  # the readers must agree on every failure, not only ValueError
         return type(e), str(e)
+    return _arrays(got)
+
+
+def _arrays(got):
+    """Bytes, shapes and labels of what a loader returned."""
     if isinstance(got, Dataset):
         return got.covariates.tobytes(), got.covariates.shape, got.labels.tolist(), got.num_classes
     return got.tobytes(), got.shape, got.dtype
@@ -236,8 +245,8 @@ _READER_CASES = {
     "covariate error after a label error": "x1,label\n1,abc\nzz,2\n",
     "non-finite after a label error": "x1,label\n1,0\nnan,2\n",
     "non-finite": "x1,label\n1,1\ninf,2\n",
-    "covariates too large": "x1,x2,label\n1,2,1\n3e153,3e153,2\n5e153,0,1\n",
-    "too large after a label error": "x1,label\n1,0\n-5e153,2\n",
+    "covariates too large": "x1,x2,label\n1,2,1\n4.2e153,4.2e153,2\n7e153,0,1\n",
+    "too large after a label error": "x1,label\n1,0\n-7e153,2\n",
     "label below one": "x1,label\n1,1\n2,-3\n",
     "non-integer label": "x1,label\n1,1\n2,1.5\n",
     "label above the override": "x1,label\n1,1\n2,3\n",
@@ -285,6 +294,183 @@ class TestReaderMatchesReference:
                 assert _outcome(load, path) == _outcome(reference, path)
 
 
+class _Declined(Exception):
+    """The fast path left the file to the reference reader."""
+
+
+def _declined(path):
+    raise _Declined
+
+
+def _fast_only(load, path, **kw):
+    """What ``load`` returns through numpy's C parser alone, or None if it falls back."""
+    with mock.patch.object(data, "_read_rows", _declined):
+        try:
+            return load(path, **kw)
+        except _Declined:
+            return None
+
+
+_Q_MAX = int(np.iinfo(np.int64).max)  # the class count eval passes: any label is in range
+
+
+def _fast_path_agrees(path) -> bool:
+    """Check each loader's fast result against the reference; True if load_covariates took it.
+
+    A fast result for a file that the reference refuses compares unequal
+    to the reference's (type, message), so that fails too.
+    """
+    for kw in ({}, {"num_classes": 2}, {"num_classes": _Q_MAX}):
+        fast = _fast_only(load_csv, path, **kw)
+        assert fast is None or _arrays(fast) == _outcome(load_csv_reference, path, **kw)
+    fast = _fast_only(load_covariates, path)
+    assert fast is None or _arrays(fast) == _outcome(load_covariates_reference, path)
+    return fast is not None
+
+
+_FIELD_PAST_LIMIT = "1" * (csv.field_size_limit() + 1)
+
+# File text -> whether load_covariates reads it through the fast path. Every
+# case must also agree with the reference reader wherever the fast path answers.
+_FAST_PATH_CASES = {
+    "plain": ("x1,x2,label\n0.5,1e-3,1\n2,3,\n-4,5,2\n", True),
+    "comments, blank lines and crlf": ('# a,"b\r\n\r\nx1,label\r\n1,1\r\n\r\n2,\r\n\n', True),
+    "lone cr": ("x1,label\r1,1\r2,2\r", True),
+    "no final line break": ("x1,label\n1,1\n2,2", True),
+    "padded numbers": ("x1,x2,label\n 1.5 ,\t2,1\n3,4,2\n", True),
+    "utf-8 bom": ("\ufeffx1,label\n1,1\n2,2\n", True),
+    "utf-8 bom before the label column": ("\ufefflabel,x1\n1,1\n2,2\n", True),
+    "no label column": ("x1,x2\n1,2\n3,4\n", True),
+    "label column twice": ("label,x1,label\n1,2,3\n2,4,5\n", True),
+    "label of 15 digits": ("x1,label\n1,1\n2,999999999999999\n", True),
+    "extra cell": ("x1,label\n1,1\n2,2,3\n", False),
+    "extra cell in every row": ("x1,label\n1,1,3\n2,2,3\n", False),
+    "missing cell": ("x1,x2,label\n1,2,1\n3,2\n", False),
+    "missing cell in every row": ("x1,x2,label\n1,1\n2,2\n", False),
+    "whitespace-only line": ("x1,label\n1,1\n \n2,2\n", False),
+    "whitespace-only line in one column": ("x1\n1\n\t\n2\n", False),
+    "whitespace-only line first": ("x1,label\n \n1,1\n2,2\n", False),
+    "# mid-line": ("x1,label\n1,1#c\n2,2\n", False),
+    "comment after the header": ("x1,label\n# c\n1,1\n2,2\n", False),
+    "comment between rows": ("x1,label\n1,1\n# c\n2,2\n", False),
+    "quoted covariate": ('x1,label\n"1",1\n2,2\n', False),
+    "quoted label": ('x1,label\n1,"1"\n2,2\n', False),
+    "quoted cell over two lines": ('x1,label\n1,"a\n2,b"\n', False),
+    "quoted header cell": ('"x1",label\n1,1\n2,2\n', False),
+    "header cell past the csv field limit": (f"{_FIELD_PAST_LIMIT},label\n1,1\n2,2\n", False),
+    "data cell past the csv field limit": (f"x1,label\n{_FIELD_PAST_LIMIT},1\n2,2\n", False),
+    "label 0": ("x1,label\n1,0\n2,2\n", False),
+    "label +1": ("x1,label\n1,+1\n2,2\n", False),
+    "label 01": ("x1,label\n1,01\n2,2\n", False),
+    "padded label": ("x1,label\n1, 1 \n2,2\n", False),
+    "label past 2**53": (f"x1,label\n1,1\n2,{2**53 + 1}\n", False),
+    "label of 16 digits": ("x1,label\n1,1\n2,1000000000000000\n", False),
+    "covariate 1_0": ("x1,label\n1_0,1\n2,2\n", False),
+    "covariate nan": ("x1,label\nnan,1\n2,2\n", False),
+    "covariate inf": ("x1,label\n1,1\n-inf,2\n", False),
+    "covariate past float64": ("x1,label\n1e400,1\n2,2\n", False),
+    "covariate too large": ("x1,label\n7e153,1\n2,2\n", False),
+    "non-ascii digit": ("x1,label\n\u0661,1\n2,2\n", False),
+    "nul in a cell": ("x1,label\n1\x00,1\n2,2\n", False),
+    "header only": ("x1,label\n", False),
+    "header and blank lines": ("x1,label\n\n\r\n\r", False),
+    "label column only": ("label\n1\n2\n", False),
+    "comments only": ("# a\n\n", False),
+    "empty": ("", False),
+}
+
+# Cells, lines and other oddities that _csv_texts puts into otherwise plain files
+_ODD_COVARIATES = ["1_0", "nan", "-inf", "1e400", "7e153", " 2.5 ", "", "#1", '"1"', "1 2",
+                   "\u0661", "0x1p3", "1\x00"]
+_ODD_LABELS = ["0", "+1", "01", " 1 ", "-1", "1.0", "x", '"2"', "9" * 15, str(2**53 + 1),
+               "12345678901234567"]
+_ODD_LINES = ["", " ", "\t", "# c", '# ,"', "#"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """A plain file in the loaders' layout with up to two oddities the fast path may decline."""
+    d = draw(st.integers(1, 3))
+    header = [f"x{i + 1}" for i in range(d)]
+    if draw(st.integers(0, 3)):
+        header.insert(draw(st.integers(0, d)), "label")
+    covariate = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+    rows = [[draw(st.sampled_from(["", "1", "2", "3"])) if h == "label" else repr(draw(covariate))
+             for h in header] for _ in range(draw(st.integers(0, 5)))]
+    bom = ""
+    # sorted, so that a row changes its width after its cells are replaced
+    kinds = ["bom", "covariate", "label", "quote", "width"]
+    for odd in sorted(draw(st.lists(st.sampled_from(kinds), max_size=2))):
+        if odd in ("covariate", "label") and rows:
+            cols = [c for c, h in enumerate(header) if (h == "label") == (odd == "label")]
+            if cols:
+                r, c = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(cols))
+                rows[r][c] = draw(st.sampled_from(_ODD_LABELS if odd == "label"
+                                                  else _ODD_COVARIATES))
+        elif odd == "width" and rows:  # an extra or a missing cell, in one row or in all
+            extra = draw(st.booleans())
+            every = range(len(rows)) if draw(st.booleans()) else []
+            for r in every or [draw(st.integers(0, len(rows) - 1))]:
+                rows[r] = rows[r] + ["1"] if extra else rows[r][:-1]
+        elif odd == "quote":
+            header[0] = f'"{header[0]}"'
+        elif odd == "bom":
+            bom = "\ufeff"
+    lines = [",".join(cells) for cells in [header, *rows]]
+    for odd in draw(st.lists(st.sampled_from(_ODD_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return bom + text
+
+
+class TestFastPathMatchesReference:
+    """numpy's C parser returns the reference reader's arrays bit for bit, or falls back."""
+
+    @pytest.mark.parametrize("text, taken", _FAST_PATH_CASES.values(), ids=_FAST_PATH_CASES.keys())
+    def test_cases(self, tmp_path, text, taken):
+        p = tmp_path / "data.csv"
+        p.write_bytes(text.encode())
+        assert _fast_path_agrees(p) == taken
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_csv_texts())
+    def test_generated_files(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "data.csv")
+            with open(p, "wb") as fh:
+                fh.write(text.encode())
+            _fast_path_agrees(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_datasets(), comments=_single_line_comments)
+    def test_saved_datasets_take_the_fast_path(self, ds, comments):
+        with tempfile.TemporaryDirectory() as d:
+            path = _saved(ds, d, comments)
+            taken = _fast_path_agrees(path)
+        assert taken == (ds.n > 0 and not _too_large(ds.covariates))
+
+
+def test_load_csv_peak_memory(tmp_path):
+    # Measured 1.10 MB with numpy 2.4: the parsed 16,384 x 4 matrix (0.52 MB)
+    # is alive while the labels (0.13 MB) and the covariates (0.39 MB) are
+    # copied out of it. The bound is 36% above that, for other numpy versions;
+    # the Python-list reader it replaced as the common path peaked at 7.1-8.6 MB.
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(16_384, 3)), rng.integers(0, 3, 16_384), 2)
+    path = tmp_path / "big.csv"
+    save_csv(ds, path, comments=["solve-mode: exact"])
+    tracemalloc.start()
+    try:
+        back = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.covariates.tobytes() == ds.covariates.tobytes()
+    assert peak < 1.5e6
+
+
 class TestLoadCovariates:
     def test_label_column_optional_and_ignored(self, tmp_path):
         with_label = load_covariates(_write(tmp_path, "x1,label,x2\n1.0,2,3.0\n4.0,,5.0\n"))
@@ -304,26 +490,58 @@ class TestLoadCovariates:
 
 
 class TestCovariateMagnitude:
-    """Rows whose 8 |x|^2 overflows float64 are refused before any distance is formed."""
+    """Rows whose (4 + 2**-18) |x|^2 overflows float64 are refused before any distance."""
 
     def test_both_loaders_name_the_file_and_row(self, tmp_path):
         path = _write(tmp_path, "x1,label\n1e200,1\n0,2\n1,1\n2e200,2\n")
         message = (f"{path} row 2: covariates too large, "
-                   "8 |x|^2 overflows float64 in squared distances")
+                   "squared distances up to 4 |x|^2 overflow float64")
         for load in (load_csv, load_covariates):
             with pytest.raises(ValueError) as info:
                 load(path)
             assert str(info.value) == message
 
+    @staticmethod
+    def _largest_accepted(direction):
+        """``direction`` scaled to the loaders' bound: taken, and refused one ulp further out."""
+        x = direction / np.linalg.norm(direction)
+        x = x * np.sqrt(np.finfo(np.float64).max / (4.0 + 2.0**-18))
+        while data._covariate_fault(x[None]) is not None:
+            x = np.nextafter(x, 0.0)
+        while data._covariate_fault(np.nextafter(x, np.inf * x)[None]) is None:
+            x = np.nextafter(x, np.inf * x)
+        return x
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bound_is_on_the_row_norm(self, tmp_path):
-        # 4e153 alone passes (8 * 1.6e307 < 1.8e308); two of them in one row do not
-        one = load_csv(_write(tmp_path, "x1,label\n4e153,1\n-4e153,2\n0,1\n"))
+        top = float(self._largest_accepted(np.ones(1))[0])  # about 6.7e153
+        above = float(np.nextafter(top, np.inf))
+        ds = load_csv(_write(tmp_path, f"x1,label\n{top!r},1\n{-top!r},2\n0,1\n"))
         with pytest.raises(ValueError, match="row 3: covariates too large"):
-            load_csv(_write(tmp_path, "x1,x2,label\n4e153,0,1\n4e153,4e153,2\n", "b.csv"))
-        # accepted rows never overflow the distances (a RuntimeWarning fails the test)
-        d2 = sym_sq_dists(one.covariates)
-        assert np.isfinite(d2).all() and d2[0, 1] == 6.4e307
-        assert np.isfinite(Kernel("se", 1.0, 1.0).gram(one.covariates)).all()
+            load_csv(_write(tmp_path, f"x1,label\n{top!r},1\n{above!r},2\n", "b.csv"))
+        # 5e153 alone passes (4 * 2.5e307 < 1.8e308); two of them in one row do not
+        load_csv(_write(tmp_path, "x1,x2,label\n5e153,0,1\n0,-5e153,2\n", "c.csv"))
+        with pytest.raises(ValueError, match="row 3: covariates too large"):
+            load_csv(_write(tmp_path, "x1,x2,label\n5e153,0,1\n5e153,5e153,2\n", "d.csv"))
+        # the largest accepted rows, top and -top, give the largest distance: finite
+        x = ds.covariates
+        d2 = sym_sq_dists(x)
+        assert np.isfinite(d2).all() and d2[0, 1] == 4.0 * top * top
+        for family in ("se", "exp"):
+            kernel = Kernel(family, 1.0, 1.0)
+            assert np.isfinite(kernel.gram(x)).all()
+            assert np.isfinite(kernel.row_sums(x, x)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_rows_keep_distances_finite_in_every_dimension(self):
+        # at exactly 4 |x|^2, rounding in the dot products overflowed about 1% of these
+        rng = np.random.default_rng(0)
+        for d in (2, 3, 5, 17):
+            for _ in range(100):
+                x = self._largest_accepted(rng.normal(size=d))
+                pair = np.vstack([x, -x])
+                assert np.isfinite(sym_sq_dists(pair)).all()
+                assert np.isfinite(Kernel("exp", 1.0, 1.0).row_sums(pair, pair)).all()
 
 
 class TestDatasetInvariants:
