@@ -34,6 +34,7 @@ from .mrf import build_energy, pair_tables
 from .simulate import Window, sample_gp_field, sample_poisson_points
 
 BENCH_SIZES = (1024, 2048, 4096, 8192)
+_DUMP_PAIRS = 1024  # pairs per chunk of energy --dump
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser, lengthscale_required: bool = True) -> None:
@@ -273,19 +274,39 @@ def _cmd_energy(args) -> int:
         raise ValueError(f"{args.data} has no unlabeled rows")
     labeled = Dataset(*ds.labeled(), ds.num_classes)
     energy = build_energy(_models_from(args, ds.num_classes, ds.n), labeled, unlabeled)
-    payload = {
+    with open(args.dump, "w", encoding="utf-8") as fh:
+        _dump_energy(energy, fh)
+    return 0
+
+
+def _dump_energy(energy, fh) -> None:
+    """Write ``energy`` as the text of json.dumps(payload, indent=1), pairs streamed.
+
+    The payload holds the sizes, the constant, the unaries and one
+    {"i", "j", "table"} object per pair. The pairs are written _DUMP_PAIRS
+    at a time: each chunk's json.dumps list, without its brackets and one
+    level deeper, so no object is held for every pair at once.
+    """
+    head = json.dumps({
         "num_sites": energy.num_sites,
         "num_labels": energy.num_labels,
         "constant": energy.constant,
         "unary": energy.unary.tolist(),
-        "pairs": [
-            {"i": int(i), "j": int(j), "table": t.tolist()}
-            for i, j, t in zip(energy.pair_i, energy.pair_j, pair_tables(energy))
-        ],
-    }
-    with open(args.dump, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-    return 0
+        "pairs": [],
+    }, indent=1)
+    if not energy.num_pairs:
+        fh.write(head)
+        return
+    fh.write(head[: -len("]\n}")])  # up to the pairs' opening bracket
+    for start in range(0, energy.num_pairs, _DUMP_PAIRS):
+        pairs = slice(start, start + _DUMP_PAIRS)
+        chunk = json.dumps([
+            {"i": i, "j": j, "table": t}
+            for i, j, t in zip(energy.pair_i[pairs].tolist(), energy.pair_j[pairs].tolist(),
+                               pair_tables(energy, pairs).tolist())
+        ], indent=1)
+        fh.write(("," if start else "") + chunk[1:-2].replace("\n", "\n "))
+    fh.write("\n ]\n}")
 
 
 def _gen_args(p: argparse.ArgumentParser) -> None:

@@ -57,6 +57,7 @@ _MAX_QUANT_BITS = 48
 _INT_HEADROOM_BITS = 62
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _PAIR_CHUNK = 1 << 14  # pairs per build_flow_network temporary
+_SLOT_CHUNK = 1 << 14  # arc slots per max_flow temporary: a BFS level's candidates, a map's part
 
 _log = logging.getLogger("coxcut.mincut")
 
@@ -112,7 +113,8 @@ def _stable_order(keys, bound):
     # keys are sorted as the smallest unsigned type that holds them, for
     # which numpy's stable sort is a radix sort up to 16 bits (timsort
     # otherwise); a stable order is unique, so the permutation is the same.
-    return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
+    small = np.min_scalar_type(max(bound - 1, 0))
+    return np.argsort(keys.astype(small, copy=False), kind="stable")
 
 
 def _grouping(group, bound):
@@ -130,9 +132,12 @@ def _greedy_fill(want, grouping, budget):
     # exact in int64 while the wants sum to less than 2**63.
     order, g, first = grouping
     w = want[order]
-    before = np.cumsum(w) - w
-    before -= np.repeat(before[first], np.diff(first, append=len(g)))
-    got = np.clip(budget[g] - before, 0, w)
+    got = np.cumsum(w)
+    got -= w  # what the entries before take, then only those of the same group
+    got -= np.repeat(got[first], np.diff(first, append=len(g)))
+    np.subtract(budget[g], got, out=got)
+    np.clip(got, 0, w, out=got)
+    del w
     total = np.zeros_like(budget)
     if len(got):
         total[g[first]] = np.add.reduceat(got, first)
@@ -141,17 +146,23 @@ def _greedy_fill(want, grouping, budget):
     return allot, total
 
 
-def _push_three_arc_paths(network: FlowNetwork) -> int:
+def _push_three_arc_paths(network: FlowNetwork, tails=None) -> int:
     """Send a feasible flow along all paths source -> v -> w -> sink at once.
 
     ``network.arc_cap`` is updated in place; returns the flow value. Each
     arc v -> w between inner nodes takes what is left of v's source-arc
     capacity, then is clipped by what is left of w's sink-arc capacity; the
     node totals are then spread over the terminal arcs the same way.
+    ``tails`` holds each arc's tail, when the caller has it. The arcs out
+    of the source and into the sink are picked first, then the inner arcs
+    from a node with supply to one with demand, by boolean masks. Each
+    part's flow is applied to the residuals on its own; the parts' slots
+    and their reverses are disjoint.
     """
     to, cap, n = network.arc_to, network.arc_cap, network.num_nodes
     s, t = network.source, network.sink
-    tails = to.reshape(-1, 2)[:, ::-1].ravel()  # slot a leaves to[a ^ 1]
+    if tails is None:
+        tails = _arc_tails(to)
     inner = np.ones(n, dtype=bool)
     inner[[s, t]] = False
     share = _INT64_MAX // max(len(to), 1)
@@ -161,26 +172,39 @@ def _push_three_arc_paths(network: FlowNetwork) -> int:
         # no more than the reverse slot can take back
         return np.minimum(np.minimum(cap[a], share), _INT64_MAX - cap[a ^ 1])
 
-    live = cap > 0
-    from_inner, to_inner = inner[tails], inner[to]
-    src = np.flatnonzero(live & (tails == s) & to_inner)
-    snk = np.flatnonzero(live & (to == t) & from_inner)
+    def send(a, f):
+        cap[a] -= f
+        cap[a ^ 1] += f
+
+    src = np.flatnonzero(tails == s)
+    src = src[(cap[src] > 0) & inner[to[src]]]
+    snk = np.flatnonzero(to == t)
+    snk = snk[(cap[snk] > 0) & inner[tails[snk]]]
     supply = np.zeros(n, dtype=np.int64)
     demand = np.zeros(n, dtype=np.int64)
     np.add.at(supply, to[src], room(src))  # int64: np.bincount would sum in float64
     np.add.at(demand, tails[snk], room(snk))
-    mid = np.flatnonzero(live & from_inner & to_inner & (supply[tails] > 0) & (demand[to] > 0))
-    by_tail = _grouping(tails[mid], n)
-    f, _ = _greedy_fill(room(mid), by_tail, supply)
+    # live arcs from a node with supply, which is inner, to one with demand
+    mask = (supply > 0)[tails]
+    mask &= (demand > 0)[to]
+    mask &= cap > 0
+    mid = np.flatnonzero(mask)
+    del mask
+    f, _ = _greedy_fill(room(mid), _grouping(tails[mid], n), supply)
     f, into = _greedy_fill(f, _grouping(to[mid], n), demand)
-    _, out = _greedy_fill(f, by_tail, supply)  # f fits every supply: only sums by tail
-    from_source, _ = _greedy_fill(room(src), _grouping(to[src], n), out)
-    to_sink, _ = _greedy_fill(room(snk), _grouping(tails[snk], n), into)
-    arcs = np.concatenate([mid, src, snk])
-    flow = np.concatenate([f, from_source, to_sink])
-    cap[arcs] -= flow
-    cap[arcs ^ 1] += flow
-    return int(f.sum())
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, tails[mid], f)  # f fits every supply: only sums by tail
+    send(mid, f)
+    pushed = int(f.sum())
+    del mid, f
+    send(src, _greedy_fill(room(src), _grouping(to[src], n), out)[0])
+    send(snk, _greedy_fill(room(snk), _grouping(tails[snk], n), into)[0])
+    return pushed
+
+
+def _arc_tails(to):
+    # slot a leaves to[a ^ 1]
+    return to.reshape(-1, 2)[:, ::-1].ravel()
 
 
 def _check_capacities(network: FlowNetwork) -> None:
@@ -193,48 +217,86 @@ def _check_capacities(network: FlowNetwork) -> None:
         a = int(np.argmax(cap < 0))
         kind = "reverse capacity" if a & 1 else "capacity"
         raise ValueError(f"negative {kind} {cap[a]} on arc ({to[a | 1]}, {to[a & ~1]})")
-    over = np.flatnonzero(cap[1::2] > _INT64_MAX - cap[0::2])
-    if len(over):
-        a = 2 * int(over[0])
-        total = int(cap[a]) + int(cap[a + 1])
-        raise ValueError(
-            f"arc pair ({to[a + 1]}, {to[a]}) has capacities summing to {total}, above 2**63 - 1"
-        )
+    for start in range(0, len(cap), 2 * _SLOT_CHUNK):
+        part = cap[start : start + 2 * _SLOT_CHUNK]
+        over = np.flatnonzero(part[1::2] > _INT64_MAX - part[0::2])
+        if len(over):
+            a = start + 2 * int(over[0])
+            total = int(cap[a]) + int(cap[a + 1])
+            raise ValueError(
+                f"arc pair ({to[a + 1]}, {to[a]}) has capacities summing to {total}, "
+                "above 2**63 - 1"
+            )
 
 
-def _level_graph(bounds, to, tail, cap, source, sink):
+def _level_graph(bounds, to, rev, cap, source, sink):
     # Breadth-first levels over the CSR slots with cap > 0, one numpy step
     # per level: gather the frontier's slots, keep the live ones and mark
-    # their unvisited heads. Stops after the sink's level (deeper nodes
-    # cannot lie on a shortest augmenting path); unreached nodes keep -1.
-    # If the sink is reached, also returns the admissible slots in CSR
-    # order: from the deepest level back, the live slots of level k whose
-    # head is the sink or a node of level k + 1 kept so far. A live slot
-    # from level k leads no deeper than k + 1, so these are the slots from
-    # one level to the next that lie on a path to the sink.
-    level = np.full(len(bounds) - 1, -1, dtype=np.int64)
+    # their unreached heads. A broad frontier is expanded in parts of whole
+    # nodes holding about _SLOT_CHUNK slots. Stops after the sink's level
+    # (deeper nodes cannot lie on a shortest augmenting path); unreached
+    # nodes keep level n, past every depth. Of each part, only the live
+    # slots into the next level are held. If the sink is reached, also
+    # returns the admissible slots in CSR order: from the deepest level
+    # back, the held slots of level k whose head is the sink or a node of
+    # level k + 1 kept so far, whose tails are then kept. These are the
+    # slots from one level to the next that lie on a path to the sink.
+    n = len(bounds) - 1
+    level = np.full(n, n, dtype=np.int64)
     level[source] = 0
     frontier = np.array([source])
     steps = []
-    while len(frontier) and level[sink] < 0:
+    while len(frontier) and level[sink] == n:
+        depth = len(steps) + 1
+        parts = []
         lo = bounds[frontier]
         count = bounds[frontier + 1] - lo
         end = np.cumsum(count)
+        for slots in _frontier_slots(lo, count, end):
+            slots = slots[cap[slots] > 0]
+            heads = to[slots]
+            ahead = level[heads] >= depth  # unreached, or reached by an earlier part
+            level[heads[ahead]] = depth
+            parts.append(slots[ahead])
+        steps.append(parts)
+        frontier = np.flatnonzero(level == depth)
+    if level[sink] == n:
+        return level, None
+    kept = np.zeros(n, dtype=bool)
+    kept[sink] = True
+    # held slots lead one level deeper, so a level's kept tails never change
+    # which of its own slots are kept
+    for parts in reversed(steps):
+        for i, slots in enumerate(parts):
+            parts[i] = slots = slots[kept[to[slots]]]
+            kept[to[rev[slots]]] = True  # the tails, as the reverse slots' heads
+    adm = np.concatenate([slots for parts in steps for slots in parts])
+    adm.sort()
+    return level, adm
+
+
+def _frontier_slots(lo, count, end):
+    # The CSR slots of a frontier's nodes in order, given each node's first
+    # slot, slot count and the running total of the counts: as one array, or
+    # in parts of whole nodes holding about _SLOT_CHUNK slots (or one node
+    # holding more).
+    if end[-1] <= _SLOT_CHUNK:
         slots = np.repeat(lo - end + count, count)
         slots += np.arange(end[-1])
-        slots = slots[cap[slots] > 0]
-        heads = to[slots]
-        steps.append(slots)
-        level[heads[level[heads] < 0]] = len(steps)
-        frontier = np.flatnonzero(level == len(steps))
-    if level[sink] < 0:
-        return level, None
-    kept = np.zeros(len(level), dtype=bool)
-    kept[sink] = True
-    for k in reversed(range(len(steps))):
-        steps[k] = steps[k][kept[to[steps[k]]]]
-        kept[tail[steps[k]]] = True
-    return level, np.sort(np.concatenate(steps))
+        return (slots,)
+    return _slot_parts(lo, count, end)
+
+
+def _slot_parts(lo, count, end):
+    first = 0
+    while first < len(lo):
+        done = int(end[first] - count[first])
+        last = max(first + 1, int(np.searchsorted(end, done + _SLOT_CHUNK, side="right")))
+        c, e = count[first:last], end[first:last]
+        slots = np.repeat(lo[first:last] - e + c, c)
+        slots += np.arange(done, int(e[-1]))
+        yield slots
+        first = last
 
 
 def _blocking_flow(first, head, tail, cap, source, sink):
@@ -303,44 +365,63 @@ def max_flow(network: FlowNetwork) -> tuple[int, np.ndarray]:
     n, m = network.num_nodes, len(network.arc_to)
     s, t = network.source, network.sink
     _check_capacities(network)
-    pushed = _push_three_arc_paths(network)
-    # CSR order by tail; each working array is made once the arrays it is
-    # built from exist and those it replaces are freed
-    tails = network.arc_to.reshape(-1, 2)[:, ::-1].ravel()  # slot a leaves to[a ^ 1]
-    order = _stable_order(tails, n)  # CSR slot -> arc
+    tails = _arc_tails(network.arc_to)
+    pushed = _push_three_arc_paths(network, tails)
+    # CSR order by tail. At most two slot-sized int64 maps are alive at once:
+    # the CSR order (sorted from tails cast to the sort's small keys, so the
+    # int64 tails are freed first), then arc -> CSR slot made from it
+    # (``slot``), then the reverse slot of each CSR slot (``rev``) made from
+    # slot's even and odd halves. While the search runs, slot only waits to
+    # put the arcs back, so it is held in the smallest unsigned type.
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=bounds[1:])
+    tails = tails.astype(np.min_scalar_type(n - 1))
+    order = _stable_order(tails, n)  # CSR slot -> arc
     del tails
+    slot = np.empty(m, dtype=np.int64)
+    for start in range(0, m, _SLOT_CHUNK):
+        stop = min(start + _SLOT_CHUNK, m)
+        slot[order[start:stop]] = np.arange(start, stop)
+    del order
     to, cap = network.arc_to, network.arc_cap
-    to[:], cap[:] = to[order], cap[order]  # both gathered before either is written
+    to[slot] = to.copy()
+    cap[slot] = cap.copy()
+    rev = None
     try:
-        slot = np.empty(m, dtype=np.int64)
-        slot[order] = np.arange(m)  # arc -> CSR slot
-        rev = slot[order ^ 1]
-        del slot
-        tail = np.repeat(np.arange(n), np.diff(bounds))
-        first = np.zeros(n + 1, dtype=np.int64)
+        rev = np.empty(m, dtype=np.int64)
+        rev[slot[0::2]] = slot[1::2]
+        rev[slot[1::2]] = slot[0::2]
+        slot = slot.astype(np.min_scalar_type(max(m - 1, 0)))
+        # one Python int per node id, shared by every phase's lists of heads and tails
+        ids = np.arange(n).astype(object)
         flow = phases = 0
         while True:
-            level, adm = _level_graph(bounds, to, tail, cap, s, t)
+            level, adm = _level_graph(bounds, to, rev, cap, s, t)
             if adm is None:
                 break
             phases += 1
-            np.cumsum(np.bincount(tail[adm], minlength=n), out=first[1:])
+            first = np.searchsorted(adm, bounds)  # node u owns adm[first[u]:first[u + 1]]
+            heads = ids[to[adm]].tolist()
+            tails = ids[to[rev[adm]]].tolist()  # a slot's tail is its reverse slot's head
             left = cap[adm].tolist()
-            flow += _blocking_flow(first.tolist(), to[adm].tolist(), tail[adm].tolist(), left, s, t)
-            sent = cap[adm] - left
+            flow += _blocking_flow(first.tolist(), heads, tails, left, s, t)
+            del heads, tails
+            sent = cap[adm]
+            sent -= left
+            del left
             cap[adm] -= sent
             cap[rev[adm]] += sent
-            del adm, left, sent  # not held through the next level graph
+            del adm, sent  # not held through the next level graph
     finally:
-        to[order] = to.copy()
-        cap[order] = cap.copy()
+        del rev  # so that slot and one gathered copy are the only maps alive
+        slot = slot.astype(np.int64, copy=False)
+        to[:] = to[slot]
+        cap[:] = cap[slot]
     _log.debug(
         "max_flow: %d nodes, %d arc pairs, %d pushed in bulk, %d found by Dinic in %d phases",
         n, m // 2, pushed, flow, phases,
     )
-    return pushed + flow, level >= 0
+    return pushed + flow, level < n
 
 
 def build_flow_network(energy: EnergyGraph) -> tuple[FlowNetwork, QuantizationRecord]:
@@ -417,19 +498,21 @@ def _flip_polish(energy: EnergyGraph, labels: np.ndarray) -> np.ndarray:
     labels = labels.copy()
     u = energy.num_sites
     rng_sites = np.arange(u)
-    pr = np.arange(energy.num_pairs)
-    w = energy.weights[:, energy.column]  # (P, 2): each pair's weight at labels 1 and 2
+    pi, pj = energy.pair_i, energy.pair_j
+    c1, c2 = energy.column.tolist()
+    w1, w2 = energy.weights[:, c1], energy.weights[:, c2]  # each pair's weight at labels 1, 2
     while True:
         cur = labels - 1
         alt = 1 - cur
         delta = energy.unary[rng_sites, alt] - energy.unary[rng_sites, cur]
         if energy.num_pairs:
-            ci, cj = cur[energy.pair_i], cur[energy.pair_j]
+            ci, cj = cur[pi], cur[pj]
             same = ci == cj
             # a flip loses the weight of a shared label, or gains the other end's
-            w_i = w[pr, ci]
-            np.add.at(delta, energy.pair_i, np.where(same, w_i, -w[pr, cj]))
-            np.add.at(delta, energy.pair_j, np.where(same, w_i, -w_i))
+            w_i = w1 if c1 == c2 else np.where(ci == 0, w1, w2)
+            w_j = w1 if c1 == c2 else np.where(cj == 0, w1, w2)
+            np.add.at(delta, pi, np.where(same, w_i, -w_j))
+            np.add.at(delta, pj, np.where(same, w_i, -w_i))
         k = int(np.argmin(delta))
         if delta[k] >= 0.0:
             return labels

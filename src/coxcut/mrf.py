@@ -27,18 +27,26 @@ import numpy as np
 
 from .classify import activations_batch
 from .data import Dataset
-from .kernels import sym_sq_dists, upper_strips
+from .kernels import STRIP_ELEMENTS, _sq_dists, upper_strips
 from .simulate import log_product_density
 
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
 PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
-# Largest unlabeled set. Pairs are picked from one U x U float64 matrix of
-# squared distances (0.54 GB at this size), one row strip at a time. The
-# arrays proportional to the kept pairs come on top and are not counted here.
-# The energy's constant takes a dense K x K gram of each labeled class of K
-# points (simulate.log_product_density), so a class is held to the same size.
-MAX_SSL_SITES = 8192
+# Kept-pair budget. A solve's memory grows with the pairs build_energy keeps:
+# a binary solve (the energy, then the flow network, max flow and the flip
+# polish) peaks at about SOLVE_BYTES_PER_PAIR bytes per kept pair with one
+# shared kernel. This is the stage bound of tests/test_mincut.py, 7.0 MB for
+# the 66k kept pairs of a U=1000 helix under tracemalloc (measured 6.65 MB;
+# 102 to 105 bytes per pair at that helix's other length scales). The walk
+# that picks the pairs holds at most 24 bytes per candidate. A solve whose
+# candidate pairs would pass MAX_SOLVE_BYTES is refused while they are
+# counted, before any kernel is evaluated.
+SOLVE_BYTES_PER_PAIR = 106
+MAX_SOLVE_BYTES = 2**31  # 2 GiB: about 20 million kept pairs
+# Largest labeled class: the energy's constant takes a dense K x K gram of
+# each labeled class of K points (simulate.log_product_density), 0.54 GB here.
+MAX_LABELED_CLASS = 8192
 
 _CHUNK = 1 << 16  # labelings per brute-force scan chunk
 # Elements per (pairs, triples) margin temporary in check_pairwise_representable.
@@ -118,14 +126,17 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     A site pair j < k is kept when some class kernel has C(x*_j - x*_k) >=
     ``cutoff``; every pair is kept when ``cutoff`` is None. Kept pairs come
     in row-major order (by j, then k), the order of ``np.triu_indices``.
-    The pairs within the largest ``Kernel.reach_sq_dist(cutoff)``, a squared
-    distance that every pair with some C >= ``cutoff`` lies within, are read
-    from one U x U array of squared distances along ``kernels.upper_strips``.
-    Each distinct kernel is evaluated once, on these pairs only, and gives
-    one weight column, C(x*_j - x*_k) for each kept pair; classes that share
-    a kernel share its column. More than MAX_SSL_SITES sites, or a labeled
-    class of more than MAX_SSL_SITES points, are refused before any kernel
-    is evaluated.
+    The candidates are the pairs within the largest
+    ``Kernel.reach_sq_dist(cutoff)``, a squared distance that every pair
+    with some C >= ``cutoff`` lies within. They are picked first, from the
+    squared distances of ``kernels._sq_dists`` computed one strip of
+    ``kernels.upper_strips`` at a time into one reused buffer, so no U x U
+    array is made. Each distinct kernel is then evaluated once, on the
+    candidates only, and gives one weight column, C(x*_j - x*_k) for each
+    kept pair; classes that share a kernel share its column. A labeled
+    class of more than MAX_LABELED_CLASS points is refused before the walk,
+    and a solve whose candidates times SOLVE_BYTES_PER_PAIR pass
+    MAX_SOLVE_BYTES during it: both before any kernel is evaluated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -133,12 +144,6 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     u = x_u.shape[0]
     if u == 0:
         raise ValueError("no unlabeled sites")
-    kernels = list(dict.fromkeys(m.kernel for m in models))  # distinct, in class order
-    if u > MAX_SSL_SITES:
-        raise ValueError(
-            f"{u} unlabeled sites need {8 * u * u / 1e9:.1f} GB for the {u}x{u} "
-            f"float64 squared distances; the limit is {MAX_SSL_SITES} sites"
-        )
     if not np.all(np.isfinite(x_u)):
         raise ValueError("unlabeled covariates contain non-finite values")
     q = len(models)
@@ -151,45 +156,71 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     elif labeled.dim != x_u.shape[1]:
         raise ValueError(f"dimension mismatch: labeled D={labeled.dim}, unlabeled D={x_u.shape[1]}")
     for a, k in enumerate(labeled.class_counts().tolist()):
-        if k > MAX_SSL_SITES:
+        if k > MAX_LABELED_CLASS:
             raise ValueError(
                 f"labeled class {a + 1} has {k} points, whose {k}x{k} float64 gram in the "
                 f"energy's constant needs {8 * k * k / 1e9:.1f} GB; the limit is "
-                f"{MAX_SSL_SITES} points per class"
+                f"{MAX_LABELED_CLASS} points per class"
             )
 
+    kernels = list(dict.fromkeys(m.kernel for m in models))  # distinct, in class order
+    flats, dists = _candidate_pairs(x_u, max(k.reach_sq_dist(cutoff) for k in kernels))
+    flat = np.concatenate(flats)
+    del flats
+    d2 = np.concatenate(dists)
+    del dists
     unary = -activations_batch(models, labeled, x_u)
     # 0.0 - j rather than -j keeps a labeled block of log density exactly 0 at +0.0
     constant = 0.0 - joint_unnormalized_log_prob(models, Dataset(*labeled.labeled(), q))
-    limit = max(k.reach_sq_dist(cutoff) for k in kernels)
-    flat, d2 = map(np.concatenate, _strip_pairs(sym_sq_dists(x_u), limit))  # frees the U x U
-    weights = np.column_stack([k._from_sqdist(d2) for k in kernels])
-    del d2
+    # the last kernel overwrites the distances once the others have read them
+    cols = [k._from_sqdist(d2) for k in kernels[:-1]] + [kernels[-1]._from_sqdist(d2, out=d2)]
+    weights = np.column_stack(cols) if len(cols) > 1 else d2[:, None]
+    del cols, d2
     if cutoff is not None:
         keep = (weights >= cutoff).any(axis=1)
-        flat, weights = flat[keep], weights[keep]
-    pi, pj = np.divmod(flat, u)
+        flat = flat[keep]
+        weights = weights[keep]
+        del keep
+    pi = np.empty_like(flat)
+    pj = np.divmod(flat, u, out=(pi, flat))[1]  # the remainders overwrite the flat indices
+    del flat
     column = [kernels.index(m.kernel) for m in models]
     return EnergyGraph(unary, pi, pj, weights, column, constant)
 
 
-def _strip_pairs(d2, limit) -> tuple[list, list]:
-    # The pairs j < k whose squared distance is not above ``limit`` (nor is a
-    # NaN), read along ``upper_strips`` so that no U x U temporary is made:
-    # one list of flat indices j * U + k per strip, in row-major order, and
-    # one of their squared distances, each led by an empty array.
-    u = len(d2)
+def _candidate_pairs(x, limit) -> tuple[list, list]:
+    # The pairs j < k whose squared distance is not above ``limit`` (a NaN
+    # distance is not above it either), one array per strip of
+    # ``upper_strips``, each list led by an empty array: their flat indices
+    # j * U + k in row-major order, and their squared distances. Each strip,
+    # rows start..stop-1 against the points from start on, is computed into
+    # one reused buffer, and the running count of candidates is held to the
+    # solve budget.
+    u = len(x)
+    aa = np.sum(x * x, axis=1)
+    size = max(STRIP_ELEMENTS, u)
+    buf, near = np.empty(size), np.empty(size, dtype=bool)
     flats, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    count = 0
     for start, stop, upper in upper_strips(u):
-        strip = d2[start:stop]
-        keep = np.zeros(strip.shape, dtype=bool)
-        right = keep[:, start:]  # no pair of the strip lies left of its first row's diagonal
-        np.greater(strip[:, start:], limit, out=right)
-        np.logical_not(right, out=right)
-        right[:, : stop - start] &= upper
+        h, w = stop - start, u - start
+        d2, keep = buf[: h * w].reshape(h, w), near[: h * w].reshape(h, w)
+        _sq_dists(x[start:stop], x[start:], aa[start:stop], aa[start:], out=d2)
+        np.greater(d2, limit, out=keep)
+        np.logical_not(keep, out=keep)
+        keep[:, :h] &= upper
         flat = np.flatnonzero(keep)
-        dists.append(strip.ravel().take(flat))
-        flat += start * u
+        count += len(flat)
+        if count * SOLVE_BYTES_PER_PAIR > MAX_SOLVE_BYTES:
+            raise ValueError(
+                f"at least {count:,} site pairs lie within the kernels' reach; solving them "
+                f"needs at least {count * SOLVE_BYTES_PER_PAIR / 1e9:.3g} GB at "
+                f"{SOLVE_BYTES_PER_PAIR} bytes per pair, above the "
+                f"{MAX_SOLVE_BYTES / 1e9:.3g} GB budget; use a smaller --lengthscale"
+            )
+        dists.append(buf.take(flat))
+        # local index r * w + c of entry (start + r, start + c), made flat in U x U
+        flat += start * (flat // w) + start * (u + 1)
         flats.append(flat)
     return flats, dists
 
@@ -234,11 +265,15 @@ def energy_of(energy: EnergyGraph, labeling) -> float:
     return float(e + energy.constant)
 
 
-def pair_tables(energy: EnergyGraph) -> np.ndarray:
-    """The explicit (P, Q, Q) pair tables: -weights on the diagonal, 0 off it."""
+def pair_tables(energy: EnergyGraph, pairs=slice(None)) -> np.ndarray:
+    """The explicit (P, Q, Q) pair tables: -weights on the diagonal, 0 off it.
+
+    ``pairs`` selects the pairs, all by default.
+    """
     q = energy.num_labels
-    tables = np.zeros((energy.num_pairs, q, q))
-    tables[:, np.arange(q), np.arange(q)] = -energy.weights[:, energy.column]
+    w = energy.weights[pairs]
+    tables = np.zeros((len(w), q, q))
+    tables[:, np.arange(q), np.arange(q)] = -w[:, energy.column]
     return tables
 
 

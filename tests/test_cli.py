@@ -16,7 +16,7 @@ from coxcut import Dataset, load_covariates, load_csv, save_csv
 from coxcut.cli import run
 from coxcut.cv import MAX_LOO_POINTS
 from coxcut.kernels import Kernel
-from coxcut.mrf import MAX_SSL_SITES
+from coxcut.mrf import MAX_LABELED_CLASS, SOLVE_BYTES_PER_PAIR
 
 
 def _run(capsys, *argv):
@@ -369,9 +369,9 @@ class TestSsl:
 
 @pytest.fixture(scope="module")
 def oversized_ssl_csv(tmp_path_factory):
-    """Two labeled points per class and MAX_SSL_SITES + 1 unlabeled 1-D points."""
-    u = MAX_SSL_SITES + 1
-    x = np.random.default_rng(6).normal(0.0, 1.0, (u + 4, 1))
+    """Two labeled points per class and 300 unlabeled 1-D points within 0.1 of each other."""
+    u = 300
+    x = np.random.default_rng(6).uniform(0.0, 0.1, (u + 4, 1))
     y = np.r_[1, 1, 2, 2, np.zeros(u, dtype=np.int64)]
     path = tmp_path_factory.mktemp("oversized") / "big.csv"
     save_csv(Dataset(x, y, 2), path)
@@ -379,15 +379,20 @@ def oversized_ssl_csv(tmp_path_factory):
 
 
 class TestSiteLimit:
+    """The kept-pair budget, which replaced a limit on the number of sites."""
+
     @pytest.mark.parametrize("command", ["ssl", "energy", "fit --ssl"])
     def test_oversized_ssl_is_one_line_error(self, oversized_ssl_csv, tmp_path, capsys,
                                              monkeypatch, command):
-        def forbidden(*_):
-            raise AssertionError("kernel work before the site limit was checked")
+        def forbidden(*_, **__):
+            raise AssertionError("kernel work before the pair budget was checked")
 
-        monkeypatch.setattr(Kernel, "gram", forbidden)
-        monkeypatch.setattr(Kernel, "cross", forbidden)
-        monkeypatch.setattr(coxcut.mrf, "sym_sq_dists", forbidden)  # build_energy's U x U array
+        for name in ("gram", "cross", "row_sums", "_from_sqdist"):
+            monkeypatch.setattr(Kernel, name, forbidden)
+        # at length scale 1 every one of the 44,850 site pairs is a candidate;
+        # the budget admits 10,000 of them
+        budget = 10_000 * SOLVE_BYTES_PER_PAIR
+        monkeypatch.setattr(coxcut.mrf, "MAX_SOLVE_BYTES", budget)
         data = str(oversized_ssl_csv)
         argv = {
             "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(tmp_path / "o.csv")],
@@ -398,14 +403,16 @@ class TestSiteLimit:
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
-        assert f"limit is {MAX_SSL_SITES} sites" in err
+        assert "site pairs lie within the kernels' reach" in err
+        assert err.rstrip().endswith(f"above the {budget / 1e9:.3g} GB budget; "
+                                     "use a smaller --lengthscale")
         assert not any(tmp_path.iterdir())  # no output file was started
 
 
 @pytest.fixture(scope="module")
 def oversized_class_csv(tmp_path_factory):
-    """MAX_SSL_SITES + 1 labeled points of class 1, two of class 2 and four unlabeled."""
-    k = MAX_SSL_SITES + 1
+    """MAX_LABELED_CLASS + 1 labeled points of class 1, two of class 2 and four unlabeled."""
+    k = MAX_LABELED_CLASS + 1
     x = np.random.default_rng(7).normal(0.0, 1.0, (k + 6, 1))
     y = np.r_[np.ones(k, dtype=np.int64), 2, 2, np.zeros(4, dtype=np.int64)]
     path = tmp_path_factory.mktemp("oversized-class") / "big.csv"
@@ -422,7 +429,7 @@ class TestLabeledClassLimit:
 
         for name in ("gram", "cross", "row_sums"):
             monkeypatch.setattr(Kernel, name, forbidden)
-        monkeypatch.setattr(coxcut.mrf, "sym_sq_dists", forbidden)
+        monkeypatch.setattr(coxcut.mrf, "_sq_dists", forbidden)  # the walk over the site pairs
         data = str(oversized_class_csv)
         argv = {
             "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(tmp_path / "o.csv")],
@@ -430,12 +437,12 @@ class TestLabeledClassLimit:
                        "--dump", str(tmp_path / "e.json")],
         }[command]
         code, out, err = _run(capsys, *argv)
-        k = MAX_SSL_SITES + 1
+        k = MAX_LABELED_CLASS + 1
         assert code == 1 and out == ""
         assert err.splitlines() == [
             f"coxcut: error: labeled class 1 has {k} points, whose {k}x{k} float64 gram in "
             f"the energy's constant needs {8 * k * k / 1e9:.1f} GB; the limit is "
-            f"{MAX_SSL_SITES} points per class"
+            f"{MAX_LABELED_CLASS} points per class"
         ]
         assert not any(tmp_path.iterdir())  # no output file was started
 
@@ -753,6 +760,54 @@ class TestEnergyDump:
                       for i, j, t in zip(ref.pair_i, ref.pair_j, ref.tables)],
         }
         assert dump.read_text() == json.dumps(payload, indent=1)
+
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    @pytest.mark.parametrize("sites", [1, 40])
+    def test_streamed_pairs_match_json_dumps(self, tmp_path, capsys, monkeypatch, chunk, sites):
+        # pairs written in chunks of 1, 7 (a short last chunk) and more than all
+        x = np.random.default_rng(8).uniform(0.0, 1.0, (sites + 4, 2))
+        y = np.r_[1, 1, 2, 2, np.zeros(sites, dtype=np.int64)]
+        data, dump = tmp_path / "d.csv", tmp_path / "e.json"
+        save_csv(Dataset(x, y, 2), data)
+        monkeypatch.setattr(coxcut.cli, "_DUMP_PAIRS", chunk)
+        code, *_ = _run(capsys, "energy", "--data", str(data), "--lengthscale", "0.3",
+                        "--dump", str(dump))
+        assert code == 0
+        ds = load_csv(data)
+        energy = coxcut.build_energy(coxcut.shared_models(2, Kernel("se", 1.0, 0.3)),
+                                     Dataset(*ds.labeled(), 2), ds.unlabeled_points())
+        assert (energy.num_pairs == 0) == (sites == 1)
+        payload = {
+            "num_sites": energy.num_sites,
+            "num_labels": 2,
+            "constant": energy.constant,
+            "unary": energy.unary.tolist(),
+            "pairs": [{"i": int(i), "j": int(j), "table": t.tolist()} for i, j, t in
+                      zip(energy.pair_i, energy.pair_j, coxcut.pair_tables(energy))],
+        }
+        assert dump.read_text() == json.dumps(payload, indent=1)
+
+    def test_memory_follows_the_pairs(self, tmp_path, capsys):
+        # 300 sites and every one of their 44,850 pairs kept: a list of pair
+        # objects took 570 bytes per pair (25.6 MB); streamed, the energy
+        # and one chunk are held. Measured 0.81 of this bound.
+        x = np.random.default_rng(6).uniform(0.0, 1.0, (304, 2))
+        y = np.r_[1, 1, 2, 2, np.zeros(300, dtype=np.int64)]
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x, y, 2), data)
+        argv = ["energy", "--data", str(data), "--lengthscale", "5",
+                "--dump", str(tmp_path / "e.json")]
+        assert _run(capsys, *argv)[0] == 0  # untraced first call
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads((tmp_path / "e.json").read_text())["pairs"]) == 44_850
+        assert peak < 2.5e6 + 32 * 44_850
 
 
 class TestBench:

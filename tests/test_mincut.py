@@ -540,13 +540,38 @@ class TestSolveMemory:
         assert p == u * (u - 1) // 2
         slots = 2 * (u + p)  # at most one arc pair per site and one per kept pair
         # int64 words per slot: the network's heads and residuals (2), the
-        # CSR maps order, rev and tail (3), and a level graph's candidate
-        # slots, their residuals and the live slots of the levels before (3);
-        # the bulk push and the polish stay below that. Measured 0.85 of this
-        # at length scale 0.3 and 0.94 at 10 (about 200 bytes per arc pair,
-        # 1.6 of this, with the network's capacity copy and max flow's CSR
-        # copies of the heads and residuals).
-        assert peak < 8 * 8 * slots
+        # reverse-slot map (1), the arc -> slot map in 32 bits (0.5), and
+        # the phase's admissible slots with their lists for the search, or
+        # the bulk push's temporaries (2). Measured 0.82 of this at length
+        # scale 0.3 and 0.91 at 10; with int64 order, reverse slot and tail
+        # maps and unchunked level graphs it was 1.24 and 1.36.
+        assert peak < 5.5 * 8 * slots
+
+    def test_helix_stage_peaks(self):
+        # the U=1000 helix of the benchmark's ssl runs, at its denser length
+        # scale: 66k kept pairs
+        ds = gen_double_helix(550, 1.0, 1.0, 3.0, 0.05, 0)
+        labeled, heldout = partition(ds, 50, 0)
+        models = shared_models(2, Kernel("se", 1.0, 0.13))
+        expected = binary_map(build_energy(models, labeled, heldout.covariates))  # untraced
+        tracemalloc.start()
+        try:
+            energy = build_energy(models, labeled, heldout.covariates)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            labels = binary_map(energy)
+            solve = tracemalloc.get_traced_memory()[1]  # the energy included
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, expected)
+        assert 60_000 < energy.num_pairs < 70_000
+        # measured 2.22 MB, and 9.2 MB with a U x U array of squared distances
+        assert build < 3.2e6
+        # every stage (network, bulk push, CSR maps, level graphs and searches,
+        # the restore and the polish) under 106 bytes per kept pair, the
+        # budget's figure (mrf.SOLVE_BYTES_PER_PAIR): measured 6.65 MB, and
+        # 8.9 MB with three int64 CSR maps and unchunked level graphs
+        assert solve < 7.0e6
 
 
 class TestBinaryMap:

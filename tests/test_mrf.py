@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _instances import random_models, random_ssl_instance
-from _reference_energy import build_energy_reference
+from _reference_energy import build_energy_reference, sq_dists_reference
 from _reference_scan import _scan_logz_loop, _scan_min_loop
 from coxcut import (
     ClassModel,
@@ -31,6 +31,7 @@ from coxcut import (
     shared_models,
 )
 from coxcut import mrf
+from coxcut.kernels import STRIP_ELEMENTS
 from coxcut.mrf import PAIR_CUTOFF
 
 
@@ -96,46 +97,57 @@ class TestBuildEnergy:
         # one shared kernel at Q=4: one column, where (P, Q, Q) tables took 16
         labeled, unlabeled = _four_circles()
         models = shared_models(4, Kernel("se", 1.0, 0.3))
-        build_energy(models, labeled, unlabeled)  # untraced first call
-        tracemalloc.start()
-        try:
-            energy = build_energy(models, labeled, unlabeled)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        energy, peak = _traced_build(models, labeled, unlabeled)
         u, p = energy.num_sites, energy.num_pairs
         assert energy.weights.shape == (p, 1) and energy.weights.nbytes == 8 * p
         assert 0.2 < p / (u * (u - 1) / 2) < 0.8
-        # the squared distances and 32 bytes per kept pair (flat index, site
-        # indices, weight); the pairs are selected strip by strip, so no U x U
-        # mask is made: measured 0.89 of this
-        assert peak < 1.1 * (8 * u * u + 32 * p)
+        # the walk's strip buffers, then 32 bytes per kept pair (flat index,
+        # site indices, weight): measured 0.67 of this, where the U x U
+        # distances took 1.15 of it
+        assert peak < 2 * _STRIP_BYTES + 32 * p
 
-    def test_two_kernels_hold_one_sites_by_sites_array(self):
-        # the pairs of both kernels come from one U x U array of squared
-        # distances, where one gram per distinct kernel took two
+    def test_two_kernels_hold_no_sites_by_sites_array(self):
+        # the pairs of both kernels come from one walk over strips of squared
+        # distances, where one U x U array (or a gram per kernel) was held
         ds = gen_double_helix(500, 1.0, 1.5, 2.0, 0.04, 1)
         labeled, heldout = partition(ds, 10, 1)
         models = [ClassModel(0.0, Kernel(f, 1.0, ls)) for f, ls in (("se", 0.08), ("exp", 0.02))]
-        build_energy(models, labeled, heldout.covariates)  # untraced first call
-        tracemalloc.start()
-        try:
-            energy = build_energy(models, labeled, heldout.covariates)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        energy, peak = _traced_build(models, labeled, heldout.covariates)
         u, p = energy.num_sites, energy.num_pairs
         assert energy.weights.shape == (p, 2)
-        assert 0 < p / (u * (u - 1) / 2) < 0.1  # sparse, so the U x U arrays dominate
-        # the distances and 40 bytes per kept pair (flat index, site indices,
-        # two weights): measured 0.96 of this, and 1.88 with two grams
-        assert peak < 1.1 * (8 * u * u + 40 * p)
+        assert 0 < p / (u * (u - 1) / 2) < 0.1
+        # strip buffers and 40 bytes per kept pair (flat index, site indices,
+        # two weights): measured 0.61 of this, where the U x U array took 4.3
+        assert peak < 2 * _STRIP_BYTES + 40 * p
+
+    def test_sparse_sites_cost_their_kept_pairs_only(self):
+        # 4000 sites, 5404 kept pairs: the 128 MB U x U array the walk replaced
+        # would be 180 times this bound. Measured 0.85 of it.
+        x = np.random.default_rng(5).uniform(0.0, 1.0, (4000, 2))
+        energy, peak = _traced_build(shared_models(2, Kernel("se", 1.0, 0.002)), None, x)
+        p = energy.num_pairs
+        assert 5000 < p < 6000
+        assert peak < 2 * _STRIP_BYTES + 32 * p
 
     def test_dimension_mismatch(self):
         models = shared_models(2, Kernel("se"))
         labeled = Dataset(np.zeros((1, 2)), np.array([1]), 2)
         with pytest.raises(ValueError, match="dimension"):
             build_energy(models, labeled, np.zeros((2, 3)))
+
+
+_STRIP_BYTES = 8 * STRIP_ELEMENTS  # build_energy's reused buffer of strip distances
+
+
+def _traced_build(models, labeled, unlabeled, **kw):
+    """build_energy's result and its tracemalloc peak, after an untraced first call."""
+    build_energy(models, labeled, unlabeled, **kw)
+    tracemalloc.start()
+    try:
+        energy = build_energy(models, labeled, unlabeled, **kw)
+        return energy, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _helix():
@@ -256,6 +268,41 @@ class TestKeptPairsAtAnyCutoff:
                 shared_models(2, Kernel("se", 1.0, 1.0)), None, x, cutoff=cutoff
             )
         assert got.num_pairs == (0 if cutoff == PAIR_CUTOFF else 3)
+
+
+class TestSolveBudget:
+    """The kept-pair budget, checked while the candidate pairs are counted."""
+
+    @staticmethod
+    def _candidates(kernel, x):
+        # the pairs within reach of the cutoff, from the oracle's distances
+        pi, pj = np.triu_indices(len(x), k=1)
+        d2 = sq_dists_reference(x)[pi, pj]
+        return int(np.count_nonzero(~(d2 > kernel.reach_sq_dist(PAIR_CUTOFF))))
+
+    def test_refused_one_byte_past_the_budget(self, monkeypatch):
+        # 700 sites span several strips; about half of the pairs are candidates
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (700, 2))
+        kernel = Kernel("se", 1.0, 0.05)
+        count = self._candidates(kernel, x)
+        assert 0 < count < 700 * 699 // 2
+        models = shared_models(2, kernel)
+        monkeypatch.setattr(mrf, "MAX_SOLVE_BYTES", count * mrf.SOLVE_BYTES_PER_PAIR)
+        energy = build_energy(models, None, x)  # exactly at the budget
+        assert 0 < energy.num_pairs <= count
+
+        def forbidden(*_, **__):
+            raise AssertionError("kernel evaluated before the budget was checked")
+
+        monkeypatch.setattr(mrf, "MAX_SOLVE_BYTES", count * mrf.SOLVE_BYTES_PER_PAIR - 1)
+        for name in ("_from_sqdist", "row_sums", "gram", "cross"):
+            monkeypatch.setattr(Kernel, name, forbidden)
+        with pytest.raises(ValueError) as info:
+            build_energy(models, None, x)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith(f"at least {count:,} site pairs lie within the kernels' reach")
+        assert message.endswith("GB budget; use a smaller --lengthscale")
 
 
 class TestUnaryIsTheNegatedActivation:
