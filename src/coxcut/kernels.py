@@ -89,19 +89,14 @@ class Kernel:
         out = self._from_sqdist(d2)
         return float(out) if np.ndim(out) == 0 else out
 
-    def reach_sq_dist(self, cutoff) -> float:
-        """Squared distance within which C can reach ``cutoff``: 2 l^2 t (se) or
-        (l t)^2 (exp), with t = ln(signal_variance / cutoff) widened by ln 2.
+    def reach_sq_dist(self, ratio: float) -> float:
+        """Squared distance beyond which C < ``ratio`` * C(0), for 0 < ratio <= 2:
+        2 l^2 t (se) or (l t)^2 (exp), with t = ln(1 / ratio) widened by ln 2.
 
         The margin, a factor 2 in C, covers the rounding of C, even of a
-        subnormal exp or product. t < 0 gives -inf; a cutoff of None or
-        <= 0, or an overflow, gives inf.
+        subnormal exp or product. An overflow gives inf.
         """
-        if cutoff is None or cutoff <= 0:
-            return math.inf
-        t = math.log(self.signal_variance) - math.log(cutoff) + math.log(2.0)
-        if not t >= 0:  # NaN too: C >= NaN holds nowhere
-            return -math.inf
+        t = -math.log(ratio) + math.log(2.0)
         ls = self.length_scale
         return 2.0 * ls * ls * t if self.family == "se" else (ls * t) * (ls * t)
 
@@ -200,6 +195,16 @@ class Kernel:
                 sums += self._from_sqdist(d2, out=d2).sum(axis=1)
         return out
 
+    def upper_sum(self, points) -> float:
+        """sum_{j<k} C(x_j - x_k) over one point set, each strip of
+        ``upper_strip_sq_dists`` summed with its entries on and below the diagonal set to 0."""
+        total = 0.0
+        for _, d2, upper in upper_strip_sq_dists(_as_points(points)):
+            c = self._from_sqdist(d2, out=d2)
+            np.copyto(c[:, : len(upper)], 0.0, where=~upper)
+            total += float(c.sum())
+        return total
+
 
 def upper_strips(n: int):
     """(start, stop, upper) for row strips of an n x n matrix's strict upper triangle.
@@ -217,6 +222,19 @@ def upper_strips(n: int):
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n - 1)
         yield start, stop, above[: stop - start, : stop - start]
+
+
+def upper_strip_sq_dists(x: np.ndarray):
+    """(start, d2, upper) for each strip of ``upper_strips(len(x))``: ``d2`` holds
+    ``_sq_dists`` of rows start..stop-1 against the points from start on, in
+    one reused buffer that the next strip overwrites."""
+    n = len(x)
+    aa = np.sum(x * x, axis=1)
+    buf = np.empty(max(STRIP_ELEMENTS, n))
+    for start, stop, upper in upper_strips(n):
+        d2 = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        _sq_dists(x[start:stop], x[start:], aa[start:stop], aa[start:], out=d2)
+        yield start, d2, upper
 
 
 def _as_points(x) -> np.ndarray:

@@ -27,26 +27,26 @@ import numpy as np
 
 from .classify import activations_batch
 from .data import Dataset
-from .kernels import STRIP_ELEMENTS, _sq_dists, upper_strips
+from .kernels import upper_strip_sq_dists
 from .simulate import log_product_density
 
 BRUTE_FORCE_GUARD = 2_000_000
 REPRESENTABILITY_TOL = 1e-9
-PAIR_CUTOFF = 1e-12  # pairs whose weights all lie below this are dropped
-# Kept-pair budget. A solve's memory grows with the pairs build_energy keeps:
-# a binary solve (the energy, then the flow network, max flow and the flip
-# polish) peaks at about SOLVE_BYTES_PER_PAIR bytes per kept pair with one
-# shared kernel. This is the stage bound of tests/test_mincut.py, 7.0 MB for
-# the 66k kept pairs of a U=1000 helix under tracemalloc (measured 6.65 MB;
-# 102 to 105 bytes per pair at that helix's other length scales). The walk
-# that picks the pairs holds at most 24 bytes per candidate. A solve whose
-# candidate pairs would pass MAX_SOLVE_BYTES is refused while they are
-# counted, before any kernel is evaluated.
+# A pair is kept when some class kernel reaches PAIR_CUTOFF * C(0) there, so
+# the kept pairs do not depend on the unit of the signal variance.
+PAIR_CUTOFF = 1e-12
+# Kept-pair budget: a solve's peak bytes per kept pair, the energy included,
+# by solve kind; each is the stage bound of a tracemalloc test. Binary: flow
+# network, max flow and polish (tests/test_mincut.py, a U=1000 helix: 100.6
+# measured). Expansion, Q > 2: each move's sub-energy and network beside the
+# full energy (tests/test_expansion.py, Q=3 circles with a kernel per class;
+# 150 to 171 measured on Q=3 and Q=4 with one kernel). Each weight column
+# after the first adds 8. Candidates whose count, so priced, passes
+# MAX_SOLVE_BYTES are refused while they are counted, before any kernel is
+# evaluated; the walk itself holds at most 24 bytes per candidate.
 SOLVE_BYTES_PER_PAIR = 106
-MAX_SOLVE_BYTES = 2**31  # 2 GiB: about 20 million kept pairs
-# Largest labeled class: the energy's constant takes a dense K x K gram of
-# each labeled class of K points (simulate.log_product_density), 0.54 GB here.
-MAX_LABELED_CLASS = 8192
+EXPANSION_BYTES_PER_PAIR = 184
+MAX_SOLVE_BYTES = 2**31  # 2 GiB: about 20 million kept pairs of a binary solve
 
 _CHUNK = 1 << 16  # labelings per brute-force scan chunk
 # Elements per (pairs, triples) margin temporary in check_pairwise_representable.
@@ -112,31 +112,27 @@ class EnergyGraph:
         return len(self.pair_i)
 
 
-def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAIR_CUTOFF) -> EnergyGraph:
+def build_energy(models, labeled: Dataset | None, unlabeled) -> EnergyGraph:
     """Energy of the unlabeled sites' labels given class models and labeled data.
 
     The unaries are -activations_batch(models, labeled, unlabeled), the
     supervised activations. The constant collects all terms that do not
     depend on the unlabeled labels: minus the joint log density of the
-    labeled points alone, so that for a full labeling y* the identity
-    joint_unnormalized_log_prob = -energy_of holds up to rounding.
-    ``labeled`` may be None or contain no labeled rows, in which case the
-    unaries carry only the mean and self-covariance terms.
+    labeled points alone (``log_product_density`` per class), so that for a
+    full labeling y* the identity joint_unnormalized_log_prob = -energy_of
+    holds up to rounding. ``labeled`` may be None or contain no labeled
+    rows, in which case the unaries carry only the mean and self-covariance
+    terms.
 
     A site pair j < k is kept when some class kernel has C(x*_j - x*_k) >=
-    ``cutoff``; every pair is kept when ``cutoff`` is None. Kept pairs come
-    in row-major order (by j, then k), the order of ``np.triu_indices``.
-    The candidates are the pairs within the largest
-    ``Kernel.reach_sq_dist(cutoff)``, a squared distance that every pair
-    with some C >= ``cutoff`` lies within. They are picked first, from the
-    squared distances of ``kernels._sq_dists`` computed one strip of
-    ``kernels.upper_strips`` at a time into one reused buffer, so no U x U
-    array is made. Each distinct kernel is then evaluated once, on the
-    candidates only, and gives one weight column, C(x*_j - x*_k) for each
-    kept pair; classes that share a kernel share its column. A labeled
-    class of more than MAX_LABELED_CLASS points is refused before the walk,
-    and a solve whose candidates times SOLVE_BYTES_PER_PAIR pass
-    MAX_SOLVE_BYTES during it: both before any kernel is evaluated.
+    PAIR_CUTOFF times its own C(0); kept pairs come in row-major order, as
+    from ``np.triu_indices``. They are picked from the pairs within the
+    largest ``Kernel.reach_sq_dist(PAIR_CUTOFF)`` (whose margin covers all
+    rounding for a normal C(0)) along ``kernels.upper_strip_sq_dists``, so
+    no U x U array is made; each distinct kernel is then evaluated once on
+    them, giving one weight column that its classes share. A solve whose
+    candidates cost more than MAX_SOLVE_BYTES at its bytes per pair (see
+    SOLVE_BYTES_PER_PAIR) is refused before any kernel is evaluated.
     """
     x_u = np.asarray(unlabeled, dtype=np.float64)
     if x_u.ndim == 1:
@@ -155,20 +151,11 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
         raise ValueError(f"labeled data has {labeled.num_classes} classes, got {q} models")
     elif labeled.dim != x_u.shape[1]:
         raise ValueError(f"dimension mismatch: labeled D={labeled.dim}, unlabeled D={x_u.shape[1]}")
-    for a, k in enumerate(labeled.class_counts().tolist()):
-        if k > MAX_LABELED_CLASS:
-            raise ValueError(
-                f"labeled class {a + 1} has {k} points, whose {k}x{k} float64 gram in the "
-                f"energy's constant needs {8 * k * k / 1e9:.1f} GB; the limit is "
-                f"{MAX_LABELED_CLASS} points per class"
-            )
 
     kernels = list(dict.fromkeys(m.kernel for m in models))  # distinct, in class order
-    flats, dists = _candidate_pairs(x_u, max(k.reach_sq_dist(cutoff) for k in kernels))
-    flat = np.concatenate(flats)
-    del flats
-    d2 = np.concatenate(dists)
-    del dists
+    per_pair = SOLVE_BYTES_PER_PAIR if q == 2 else EXPANSION_BYTES_PER_PAIR
+    reach = max(k.reach_sq_dist(PAIR_CUTOFF) for k in kernels)
+    flat, d2 = _candidate_pairs(x_u, reach, per_pair + 8 * (len(kernels) - 1))
     unary = -activations_batch(models, labeled, x_u)
     # 0.0 - j rather than -j keeps a labeled block of log density exactly 0 at +0.0
     constant = 0.0 - joint_unnormalized_log_prob(models, Dataset(*labeled.labeled(), q))
@@ -176,11 +163,10 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     cols = [k._from_sqdist(d2) for k in kernels[:-1]] + [kernels[-1]._from_sqdist(d2, out=d2)]
     weights = np.column_stack(cols) if len(cols) > 1 else d2[:, None]
     del cols, d2
-    if cutoff is not None:
-        keep = (weights >= cutoff).any(axis=1)
-        flat = flat[keep]
-        weights = weights[keep]
-        del keep
+    keep = (weights >= [PAIR_CUTOFF * k.signal_variance for k in kernels]).any(axis=1)
+    flat = flat[keep]
+    weights = weights[keep]
+    del keep
     pi = np.empty_like(flat)
     pj = np.divmod(flat, u, out=(pi, flat))[1]  # the remainders overwrite the flat indices
     del flat
@@ -188,41 +174,33 @@ def build_energy(models, labeled: Dataset | None, unlabeled, cutoff: float = PAI
     return EnergyGraph(unary, pi, pj, weights, column, constant)
 
 
-def _candidate_pairs(x, limit) -> tuple[list, list]:
-    # The pairs j < k whose squared distance is not above ``limit`` (a NaN
-    # distance is not above it either), one array per strip of
-    # ``upper_strips``, each list led by an empty array: their flat indices
-    # j * U + k in row-major order, and their squared distances. Each strip,
-    # rows start..stop-1 against the points from start on, is computed into
-    # one reused buffer, and the running count of candidates is held to the
-    # solve budget.
+def _candidate_pairs(x, limit, per_pair) -> tuple[np.ndarray, np.ndarray]:
+    # The flat indices j * U + k, in row-major order, and the squared
+    # distances of the pairs j < k whose distance is not above ``limit`` (nor
+    # is a NaN), their running count held to the budget at ``per_pair`` bytes.
     u = len(x)
-    aa = np.sum(x * x, axis=1)
-    size = max(STRIP_ELEMENTS, u)
-    buf, near = np.empty(size), np.empty(size, dtype=bool)
     flats, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     count = 0
-    for start, stop, upper in upper_strips(u):
-        h, w = stop - start, u - start
-        d2, keep = buf[: h * w].reshape(h, w), near[: h * w].reshape(h, w)
-        _sq_dists(x[start:stop], x[start:], aa[start:stop], aa[start:], out=d2)
-        np.greater(d2, limit, out=keep)
-        np.logical_not(keep, out=keep)
+    for start, d2, upper in upper_strip_sq_dists(x):
+        h, w = d2.shape
+        keep = ~(d2 > limit)
         keep[:, :h] &= upper
         flat = np.flatnonzero(keep)
         count += len(flat)
-        if count * SOLVE_BYTES_PER_PAIR > MAX_SOLVE_BYTES:
+        if count * per_pair > MAX_SOLVE_BYTES:
             raise ValueError(
                 f"at least {count:,} site pairs lie within the kernels' reach; solving them "
-                f"needs at least {count * SOLVE_BYTES_PER_PAIR / 1e9:.3g} GB at "
-                f"{SOLVE_BYTES_PER_PAIR} bytes per pair, above the "
-                f"{MAX_SOLVE_BYTES / 1e9:.3g} GB budget; use a smaller --lengthscale"
+                f"needs at least {count * per_pair / 1e9:.3g} GB at {per_pair} bytes per "
+                f"pair, above the {MAX_SOLVE_BYTES / 1e9:.3g} GB budget; use a smaller "
+                "--lengthscale"
             )
-        dists.append(buf.take(flat))
+        dists.append(d2.take(flat))
         # local index r * w + c of entry (start + r, start + c), made flat in U x U
         flat += start * (flat // w) + start * (u + 1)
         flats.append(flat)
-    return flats, dists
+    flat = np.concatenate(flats)
+    del flats
+    return flat, np.concatenate(dists)
 
 
 def joint_unnormalized_log_prob(models, dataset: Dataset) -> float:

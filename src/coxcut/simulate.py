@@ -167,11 +167,13 @@ def thin(points, gamma: float, seed: int = 0) -> np.ndarray:
 
 
 def log_product_density(model: ClassModel, points) -> float:
-    """log m(x_1..x_K) = K * mean + (1/2) * sum_{j,k} C(x_j - x_k), diagonal included."""
+    """log m(x_1..x_K) = K * mean + (1/2) * sum_{j,k} C(x_j - x_k), diagonal included,
+    as K * mean + (K * C(0) + 2 * sum_{j<k} C) / 2 with no K x K array (``Kernel.upper_sum``)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     k = points.shape[0]
     if k < 1:
         raise ValueError("product density needs at least one point")
-    return float(k * model.mean + 0.5 * model.kernel.gram(points).sum())
+    upper = model.kernel.upper_sum(points)
+    return float(k * model.mean + 0.5 * (k * model.kernel.signal_variance + 2.0 * upper))

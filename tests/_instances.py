@@ -4,6 +4,10 @@ import numpy as np
 
 from coxcut import ClassModel, Dataset, Kernel, build_energy
 
+# A pair cutoff, relative to C(0), below every positive weight that the tests
+# using the ``every_pair`` fixture build.
+EVERY_PAIR = 1e-300
+
 
 def random_kernel(rng, families=("se", "exp")):
     fam = families[rng.integers(0, len(families))]

@@ -247,14 +247,14 @@ def test_09_flow_duality_and_conservation():
     _passed(9, "max-flow/min-cut duality and conservation (200 networks, exact)")
 
 
-def test_10_no_interference_violation():
+def test_10_no_interference_violation(every_pair):
     # explicit 3-point instance: marginalizing the third (unlabeled) point's
     # label shifts the first two points' label distribution
     models = shared_models(2, Kernel("se", 1.0, 1.0))
     pair = np.array([[0.0], [2.0]])
     triple = np.array([[0.0], [2.0], [0.3]])
-    e2 = build_energy(models, None, pair, cutoff=None)
-    e3 = build_energy(models, None, triple, cutoff=None)
+    e2 = build_energy(models, None, pair)
+    e3 = build_energy(models, None, triple)
     z2 = brute_force_log_partition(e2)
     z3 = brute_force_log_partition(e3)
     labelings = list(product((1, 2), repeat=2))

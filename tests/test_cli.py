@@ -16,7 +16,7 @@ from coxcut import Dataset, load_covariates, load_csv, save_csv
 from coxcut.cli import run
 from coxcut.cv import MAX_LOO_POINTS
 from coxcut.kernels import Kernel
-from coxcut.mrf import MAX_LABELED_CLASS, SOLVE_BYTES_PER_PAIR
+from coxcut.mrf import SOLVE_BYTES_PER_PAIR
 
 
 def _run(capsys, *argv):
@@ -411,8 +411,11 @@ class TestSiteLimit:
 
 @pytest.fixture(scope="module")
 def oversized_class_csv(tmp_path_factory):
-    """MAX_LABELED_CLASS + 1 labeled points of class 1, two of class 2 and four unlabeled."""
-    k = MAX_LABELED_CLASS + 1
+    """8193 labeled points of class 1, two of class 2 and four unlabeled.
+
+    A dense gram of class 1 would take 537 MB.
+    """
+    k = 8193
     x = np.random.default_rng(7).normal(0.0, 1.0, (k + 6, 1))
     y = np.r_[np.ones(k, dtype=np.int64), 2, 2, np.zeros(4, dtype=np.int64)]
     path = tmp_path_factory.mktemp("oversized-class") / "big.csv"
@@ -420,31 +423,20 @@ def oversized_class_csv(tmp_path_factory):
     return path
 
 
-class TestLabeledClassLimit:
-    @pytest.mark.parametrize("command", ["ssl", "energy"])
-    def test_oversized_class_is_one_line_error(self, oversized_class_csv, tmp_path, capsys,
-                                               monkeypatch, command):
-        def forbidden(*_):
-            raise AssertionError("kernel work before the class size was checked")
+class TestLargeLabeledClass:
+    """The energy's constant sums strips, so a labeled class has no size limit
+    of its own; the kept-pair budget is the solve's only one."""
 
-        for name in ("gram", "cross", "row_sums"):
-            monkeypatch.setattr(Kernel, name, forbidden)
-        monkeypatch.setattr(coxcut.mrf, "_sq_dists", forbidden)  # the walk over the site pairs
-        data = str(oversized_class_csv)
+    @pytest.mark.parametrize("command", ["ssl", "energy"])
+    def test_oversized_class_runs(self, oversized_class_csv, tmp_path, capsys, command):
+        data, out = str(oversized_class_csv), tmp_path / "out"
         argv = {
-            "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(tmp_path / "o.csv")],
-            "energy": ["energy", "--data", data, "--lengthscale", "1",
-                       "--dump", str(tmp_path / "e.json")],
+            "ssl": ["ssl", "--data", data, "--lengthscale", "1", "--out", str(out)],
+            "energy": ["energy", "--data", data, "--lengthscale", "1", "--dump", str(out)],
         }[command]
-        code, out, err = _run(capsys, *argv)
-        k = MAX_LABELED_CLASS + 1
-        assert code == 1 and out == ""
-        assert err.splitlines() == [
-            f"coxcut: error: labeled class 1 has {k} points, whose {k}x{k} float64 gram in "
-            f"the energy's constant needs {8 * k * k / 1e9:.1f} GB; the limit is "
-            f"{MAX_LABELED_CLASS} points per class"
-        ]
-        assert not any(tmp_path.iterdir())  # no output file was started
+        code, stdout, err = _run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.exists()
 
 
 class TestLengthScaleRange:
@@ -787,6 +779,24 @@ class TestEnergyDump:
                       zip(energy.pair_i, energy.pair_j, coxcut.pair_tables(energy))],
         }
         assert dump.read_text() == json.dumps(payload, indent=1)
+
+    def test_kept_pairs_and_labels_do_not_depend_on_the_variance(self, tmp_path, capsys):
+        # the cutoff is relative to C(0): with zero means, scaling the variance
+        # scales the whole energy, and keeps the same pairs and the same MAP
+        data = tmp_path / "d.csv"
+        _run(capsys, "gen", "--shape", "helix", "--n-per-class", "150",
+             "--labeled-per-class", "10", "--seed", "3", "--out", str(data))
+        pairs, labels = set(), set()
+        for variance in ("1e-6", "1", "1e6"):
+            flags = ["--data", str(data), "--lengthscale", "0.08", "--variance", variance]
+            dump, out = tmp_path / f"e{variance}.json", tmp_path / f"s{variance}.csv"
+            assert _run(capsys, "energy", *flags, "--dump", str(dump))[0] == 0
+            assert _run(capsys, "ssl", *flags, "--out", str(out))[0] == 0
+            kept = json.loads(dump.read_text())["pairs"]
+            pairs.add(tuple((p["i"], p["j"]) for p in kept))
+            labels.add(load_csv(out).labels.tobytes())
+        assert len(pairs) == 1 and len(labels) == 1
+        assert 2000 < len(next(iter(pairs))) < 4000
 
     def test_memory_follows_the_pairs(self, tmp_path, capsys):
         # 300 sites and every one of their 44,850 pairs kept: a list of pair

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import _reference_expansion
 from _instances import random_models, random_ssl_instance
 from _reference_expansion import alpha_expansion_reference, expansion_move_reference
 from coxcut import (
+    ClassModel,
     Dataset,
     EnergyGraph,
     Kernel,
@@ -21,7 +24,7 @@ from coxcut import (
     shared_models,
     ssl_solve,
 )
-from coxcut import expansion
+from coxcut import expansion, mrf
 
 
 def _circles_energy(radii, n_per_class, length_scale, seed):
@@ -234,3 +237,26 @@ class TestSslSolve:
         empty = Dataset(np.empty((0, 1)), np.empty(0, np.int64), 2)
         with pytest.raises(ValueError, match="labeled"):
             ssl_solve(models, empty, np.array([[0.0]]))
+
+
+class TestSolveMemory:
+    def test_per_class_kernels_stage_peak(self):
+        # Q=3 circles, 552 sites, one kernel per class: the energy, then each
+        # expansion move's sub-energy, flow network, max flow and polish.
+        # Under the budget's figure for this solve, EXPANSION_BYTES_PER_PAIR
+        # plus 8 bytes for each of the two further weight columns: measured
+        # 0.94 of it.
+        ds = gen_concentric_circles(200, (1.0, 2.0, 3.0), 0.1, 0)
+        labeled, heldout = partition(ds, 16, 0)
+        models = [ClassModel(0.0, Kernel("se", 1.0, ls)) for ls in (0.2, 0.22, 0.24)]
+        expected = ssl_solve(models, labeled, heldout.covariates)  # untraced first call
+        tracemalloc.start()
+        try:
+            labels = ssl_solve(models, labeled, heldout.covariates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, expected)
+        pairs = build_energy(models, labeled, heldout.covariates).num_pairs
+        assert 35_000 < pairs < 45_000
+        assert peak < (mrf.EXPANSION_BYTES_PER_PAIR + 8 * 2) * pairs

@@ -315,26 +315,20 @@ def test_upper_strips_walk_the_strict_upper_triangle_once_in_order(n):
 
 
 class TestReachSqDist:
-    """The squared distance within which C can still reach a cutoff."""
+    """The squared distance beyond which C stays below a ratio of C(0)."""
 
     @pytest.mark.parametrize("family", ["se", "exp"])
     @pytest.mark.parametrize(
-        "variance, length_scale, cutoff",
+        "variance, length_scale, ratio",
         [(1.0, 1.0, PAIR_CUTOFF), (1e-6, 0.1, 1e-20), (1e6, 3.0, 1e-12), (2.0, 0.5, 1.5)],
     )
-    def test_kernel_at_the_limit_is_half_the_cutoff(self, family, variance, length_scale, cutoff):
-        # widened by ln 2: every distance where the exact C reaches cutoff / 2 is within
+    def test_kernel_at_the_limit_is_half_the_cutoff(self, family, variance, length_scale, ratio):
+        # widened by ln 2: every distance where the exact C reaches ratio * C(0) / 2
+        # is within, whatever the variance
         k = Kernel(family, variance, length_scale)
-        at_limit = k.eval(math.sqrt(k.reach_sq_dist(cutoff)))
-        assert at_limit == pytest.approx(cutoff / 2, rel=1e-9, abs=0)
-
-    @pytest.mark.parametrize("family", ["se", "exp"])
-    def test_edge_cutoffs(self, family):
-        k = Kernel(family, 1.0, 1.0)
-        for cutoff in (None, 0.0, -0.0, -1.0):  # every pair
-            assert k.reach_sq_dist(cutoff) == math.inf
-        for cutoff in (2.5, math.inf, math.nan):  # no pair: C(0) = 1 < cutoff / 2, or NaN
-            assert k.reach_sq_dist(cutoff) == -math.inf
+        at_limit = k.eval(math.sqrt(k.reach_sq_dist(ratio)))
+        assert at_limit == pytest.approx(ratio * variance / 2, rel=1e-9, abs=0)
+        assert k.reach_sq_dist(ratio) == Kernel(family, 1.0, length_scale).reach_sq_dist(ratio)
 
     def test_overflow_gives_inf(self):
         # RuntimeWarnings are errors in this suite

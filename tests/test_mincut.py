@@ -522,12 +522,12 @@ class TestSolveMemory:
         assert not np.array_equal(net.arc_cap, cap0)  # the bulk push had run
 
     @pytest.mark.parametrize("length_scale", [0.3, 10.0])
-    def test_flow_stage_peak_per_arc_pair(self, length_scale):
+    def test_flow_stage_peak_per_arc_pair(self, every_pair, length_scale):
         # every pair kept: the network, max flow and the polish on 290 sites
         ds = gen_concentric_circles(150, (1.0, 2.0), 0.1, 0)
         labeled, heldout = partition(ds, 5, 0)
         models = shared_models(2, Kernel("se", 1.0, length_scale))
-        energy = build_energy(models, labeled, heldout.covariates, cutoff=None)
+        energy = build_energy(models, labeled, heldout.covariates)
         expected = binary_map(energy)  # untraced first call; nothing here is timed
         tracemalloc.start()
         try:

@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _instances import random_models, random_ssl_instance
+from _instances import EVERY_PAIR, random_models, random_ssl_instance
 from _reference_energy import build_energy_reference, sq_dists_reference
 from _reference_scan import _scan_logz_loop, _scan_min_loop
 from coxcut import (
@@ -50,10 +50,10 @@ def _hand_energy(unary, pairs=None, constant=0.0):
 
 
 class TestBuildEnergy:
-    def test_vanishing_kernel_gives_flat_energies(self):
+    def test_vanishing_kernel_gives_flat_energies(self, every_pair):
         models = shared_models(2, Kernel("se", 1e-300, 1.0))
         labeled = Dataset(np.array([[0.0], [1.0]]), np.array([1, 2]), 2)
-        energy = build_energy(models, labeled, np.array([[0.5], [2.0]]), cutoff=None)
+        energy = build_energy(models, labeled, np.array([[0.5], [2.0]]))
         values = [energy_of(energy, [a, b]) for a in (1, 2) for b in (1, 2)]
         assert np.allclose(values, values[0], atol=1e-12)
 
@@ -139,12 +139,12 @@ class TestBuildEnergy:
 _STRIP_BYTES = 8 * STRIP_ELEMENTS  # build_energy's reused buffer of strip distances
 
 
-def _traced_build(models, labeled, unlabeled, **kw):
+def _traced_build(models, labeled, unlabeled):
     """build_energy's result and its tracemalloc peak, after an untraced first call."""
-    build_energy(models, labeled, unlabeled, **kw)
+    build_energy(models, labeled, unlabeled)
     tracemalloc.start()
     try:
-        energy = build_energy(models, labeled, unlabeled, **kw)
+        energy = build_energy(models, labeled, unlabeled)
         return energy, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,9 +172,9 @@ class TestEnergyMatchesReference:
     """The kept-pairs construction against the all-pairs oracle, bit for bit."""
 
     @staticmethod
-    def _assert_same(models, labeled, unlabeled, cutoff=PAIR_CUTOFF):
-        got = build_energy(models, labeled, unlabeled, cutoff=cutoff)
-        ref = build_energy_reference(models, labeled, unlabeled, cutoff=cutoff)
+    def _assert_same(models, labeled, unlabeled):
+        got = build_energy(models, labeled, unlabeled)
+        ref = build_energy_reference(models, labeled, unlabeled)
         assert np.array_equal(got.unary, ref.unary)
         assert np.array_equal(got.pair_i, ref.pair_i)
         assert np.array_equal(got.pair_j, ref.pair_j)
@@ -200,30 +200,30 @@ class TestEnergyMatchesReference:
         alone = [build_energy(shared_models(3, k), labeled, unlabeled).num_pairs for k in kernels]
         assert got.num_pairs == max(alone) > min(alone)
 
-    def test_no_cutoff_keeps_every_pair(self):
+    def test_no_cutoff_keeps_every_pair(self, every_pair):
         labeled, unlabeled = _three_circles()
         models = [ClassModel(0.0, Kernel("se", 1.0, s)) for s in (0.05, 0.2, 1.0)]
-        got = self._assert_same(models, labeled, unlabeled, cutoff=None)
+        got = self._assert_same(models, labeled, unlabeled)
         u = got.num_sites
         assert got.num_pairs == u * (u - 1) // 2
 
-    @pytest.mark.parametrize("cutoff", [PAIR_CUTOFF, None])
-    def test_single_site_has_no_pairs(self, cutoff):
+    @pytest.mark.parametrize("ratio", [PAIR_CUTOFF, EVERY_PAIR])
+    def test_single_site_has_no_pairs(self, monkeypatch, ratio):
+        monkeypatch.setattr(mrf, "PAIR_CUTOFF", ratio)
         labeled, unlabeled = _helix()
-        got = self._assert_same(
-            shared_models(2, Kernel("se", 1.0, 0.1)), labeled, unlabeled[:1], cutoff=cutoff
-        )
+        got = self._assert_same(shared_models(2, Kernel("se", 1.0, 0.1)), labeled, unlabeled[:1])
         assert got.num_sites == 1 and got.num_pairs == 0
 
-    def test_random_small_instances(self):
+    def test_random_small_instances(self, monkeypatch):
         rng = np.random.default_rng(9)
         for _ in range(40):
             q = int(rng.integers(2, 5))
             models, labeled, unlabeled, _ = random_ssl_instance(
                 rng, q=q, max_unlabeled=30, shared_kernel=bool(rng.integers(0, 2))
             )
-            for cutoff in (PAIR_CUTOFF, 0.05, None):
-                self._assert_same(models, labeled, unlabeled, cutoff=cutoff)
+            for ratio in (PAIR_CUTOFF, 0.05, EVERY_PAIR):
+                monkeypatch.setattr(mrf, "PAIR_CUTOFF", ratio)
+                self._assert_same(models, labeled, unlabeled)
 
 
 _POWERS_OF_TEN = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -247,27 +247,33 @@ class TestKeptPairsAtAnyCutoff:
         ))
         q = data.draw(st.integers(max(2, len(kernels)), 4))
         models = [ClassModel(0.0, kernels[a % len(kernels)]) for a in range(q)]
-        c0 = max(k.signal_variance for k in kernels)  # the largest C(0)
-        every = build_energy_reference(models, None, x, cutoff=None).tables
-        weights = np.unique(-every[:, np.arange(q), np.arange(q)])
-        weight = float(data.draw(st.sampled_from(weights.tolist())))
-        cutoff = data.draw(st.sampled_from([
-            PAIR_CUTOFF, None, 0.0, -1.0, c0, float(np.nextafter(c0, np.inf)), 2.0 * c0,
-            float(np.nextafter(weight, 0.0)), weight, float(np.nextafter(weight, np.inf)),
-        ]))
-        TestEnergyMatchesReference._assert_same(models, None, x, cutoff=cutoff)
+        d2 = sq_dists_reference(x)[np.triu_indices(u, 1)]
+        # every weight as a share of its kernel's C(0), and the shares next to it
+        shares = np.unique(np.concatenate(
+            [k._from_sqdist(d2) / k.signal_variance for k in kernels]))
+        share = float(data.draw(st.sampled_from(shares[shares > 0].tolist() or [1.0])))
+        ratios = [PAIR_CUTOFF, EVERY_PAIR, 1.0, float(np.nextafter(1.0, 2.0)),
+                  float(np.nextafter(share, 0.0)), share, float(np.nextafter(share, 2.0))]
+        # Kernel.reach_sq_dist's margin covers the rounding of the weights and
+        # of ratio * C(0) while both stay far above the smallest subnormal
+        c0 = min(k.signal_variance for k in kernels)
+        ratio = data.draw(st.sampled_from([r for r in ratios if min(r, r * c0) >= 1e-320]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mrf, "PAIR_CUTOFF", ratio)
+            TestEnergyMatchesReference._assert_same(models, None, x)
 
-    @pytest.mark.parametrize("cutoff", [None, 0.0, -1.0, PAIR_CUTOFF])
-    def test_overflowing_distances(self, cutoff):
-        # every squared distance overflows to inf, where C is 0: a cutoff of
-        # None or <= 0 keeps those pairs, and a positive one drops them. The
-        # diagonal's inf - inf is overwritten with 0.
+    @pytest.mark.parametrize("cutoff", [PAIR_CUTOFF, EVERY_PAIR])
+    def test_overflowing_distances(self, monkeypatch, cutoff):
+        # every squared distance overflows to inf, where C is 0, which no
+        # positive ratio of C(0) reaches. The diagonal's inf - inf is
+        # overwritten with 0.
+        monkeypatch.setattr(mrf, "PAIR_CUTOFF", cutoff)
         x = np.array([[0.0], [1e155], [-1e155]])
         with np.errstate(over="ignore", invalid="ignore"):
             got = TestEnergyMatchesReference._assert_same(
-                shared_models(2, Kernel("se", 1.0, 1.0)), None, x, cutoff=cutoff
+                shared_models(2, Kernel("se", 1.0, 1.0)), None, x
             )
-        assert got.num_pairs == (0 if cutoff == PAIR_CUTOFF else 3)
+        assert got.num_pairs == 0
 
 
 class TestSolveBudget:
@@ -303,6 +309,25 @@ class TestSolveBudget:
         assert "\n" not in message
         assert message.startswith(f"at least {count:,} site pairs lie within the kernels' reach")
         assert message.endswith("GB budget; use a smaller --lengthscale")
+
+
+    @pytest.mark.parametrize("q, variances, per_pair", [
+        (2, [1.0, 2.0], mrf.SOLVE_BYTES_PER_PAIR + 8),
+        (3, [1.0], mrf.EXPANSION_BYTES_PER_PAIR),
+        (3, [1.0, 2.0, 3.0], mrf.EXPANSION_BYTES_PER_PAIR + 16),
+    ])
+    def test_priced_by_solve_kind_and_weight_columns(self, monkeypatch, q, variances, per_pair):
+        # kernels that differ in variance only share one reach, so the
+        # candidates are those of the binary shared-kernel case above
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (700, 2))
+        count = self._candidates(Kernel("se", 1.0, 0.05), x)
+        models = [ClassModel(0.0, Kernel("se", variances[a % len(variances)], 0.05))
+                  for a in range(q)]
+        monkeypatch.setattr(mrf, "MAX_SOLVE_BYTES", count * per_pair)
+        assert build_energy(models, None, x).weights.shape[1] == len(variances)
+        monkeypatch.setattr(mrf, "MAX_SOLVE_BYTES", count * per_pair - 1)
+        with pytest.raises(ValueError, match=f"GB at {per_pair} bytes per pair, above"):
+            build_energy(models, None, x)
 
 
 class TestUnaryIsTheNegatedActivation:
@@ -386,9 +411,11 @@ class TestJoint:
             got = joint_unnormalized_log_prob(models, Dataset(x, y, q))
             assert got == pytest.approx(total, rel=1e-10)
 
-    @settings(max_examples=60, deadline=None)
+    # the fixture patches a module constant, the same for every example
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_equals_minus_energy_of_the_field_without_labeled_data(self, data):
+    def test_equals_minus_energy_of_the_field_without_labeled_data(self, every_pair, data):
         q = data.draw(st.integers(2, 3))
         n = data.draw(st.integers(1, 8))
         d = data.draw(st.integers(1, 3))
@@ -404,7 +431,7 @@ class TestJoint:
             for _ in range(q)
         ]
         joint = joint_unnormalized_log_prob(models, Dataset(x, y, q))
-        energy = energy_of(build_energy(models, None, x, cutoff=None), y)
+        energy = energy_of(build_energy(models, None, x), y)
         # the two sum the same terms in different orders; the total may cancel,
         # so the tolerance is a few ulps of the sum of the terms' magnitudes
         magnitude = sum(
@@ -419,7 +446,7 @@ class TestJoint:
         with pytest.raises(ValueError, match="labeled"):
             joint_unnormalized_log_prob(models, ds)
 
-    def test_energy_duality_on_random_instances(self):
+    def test_energy_duality_on_random_instances(self, every_pair):
         # joint(y1) - joint(y2) == E(y2) - E(y1) for the built energy
         rng = np.random.default_rng(4)
         for _ in range(25):
@@ -427,7 +454,7 @@ class TestJoint:
             models, labeled, unlabeled, energy = random_ssl_instance(
                 rng, q=q, max_labeled=4, max_unlabeled=5
             )
-            energy = build_energy(models, labeled, unlabeled, cutoff=None)
+            energy = build_energy(models, labeled, unlabeled)
             xl, yl = labeled.labeled()
             u = len(unlabeled)
             for _ in range(4):
@@ -772,14 +799,14 @@ class TestBruteForce:
 
 
 class TestNoInterference:
-    def test_marginalizing_an_extra_point_changes_the_distribution(self):
+    def test_marginalizing_an_extra_point_changes_the_distribution(self, every_pair):
         # 3-point exhibit: the label distribution of two points shifts once a
         # third unlabeled point is marginalized in
         models = shared_models(2, Kernel("se", 1.0, 1.0))
         pair = np.array([[0.0], [2.0]])
         triple = np.array([[0.0], [2.0], [0.3]])
-        e2 = build_energy(models, None, pair, cutoff=None)
-        e3 = build_energy(models, None, triple, cutoff=None)
+        e2 = build_energy(models, None, pair)
+        e3 = build_energy(models, None, triple)
         z2 = brute_force_log_partition(e2)
         z3 = brute_force_log_partition(e3)
         p2 = np.array(

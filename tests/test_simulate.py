@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,3 +181,15 @@ class TestLogProductDensity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             log_product_density(ClassModel(0.0, _unit_kernel()), np.empty((0, 2)))
+
+    def test_large_class_holds_no_k_by_k_array(self):
+        # 8193 points, whose dense gram took 537 MB; measured 0.86 MB
+        pts = np.random.default_rng(7).normal(0.0, 1.0, (8193, 2))
+        tracemalloc.start()
+        try:
+            v = log_product_density(ClassModel(0.0, _unit_kernel()), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8193 / 2 < v < 8193**2 / 2
+        assert peak <= 2e6
