@@ -15,7 +15,7 @@ import numpy as np
 from .classify import shared_models
 from .data import Dataset
 from .expansion import ssl_solve
-from .kernels import STRIP_ELEMENTS, Kernel, _sq_dists, upper_strips
+from .kernels import STRIP_ELEMENTS, Kernel, _sq_dists, upper_strip_sq_dists
 
 GRID_SIZE = 16
 GRID_SPAN = (0.01, 100.0)  # multiples of the median pairwise distance
@@ -48,36 +48,32 @@ def _sampled_median(covariates, seed: int = 0) -> float:
 def _median_distance(x: np.ndarray) -> float:
     """Median pairwise distance of the (N, D) points ``x``, exact, from row strips.
 
-    The squared distances are those of ``kernels._sq_dists``, computed one
-    strip of ``kernels.upper_strips`` at a time, rows start..stop-1 against
-    the points from start on, into one reused buffer; the selection
-    (_select_median) reads nothing else. Its sample takes the picked point
-    pairs' squared differences, 0 on the diagonal, which only steer it.
+    The squared distances are the strips of ``kernels.upper_strip_sq_dists``,
+    the walk that ``build_energy`` and ``Kernel.upper_sum`` read, made afresh
+    for each pass of the selection (_select_median). Its sample takes the
+    picked point pairs' squared differences, 0 on the diagonal, which only
+    steer it.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    aa = np.sum(x * x, axis=1)
 
     def entries(flat):
         i, j = np.divmod(flat, n)
         return np.square(x[i] - x[j]).sum(axis=1)
 
-    def block(start, stop, out):
-        _sq_dists(x[start:stop], x[start:], aa[start:stop], aa[start:], out=out)
-
-    return _select_median(n, entries, block)
+    return _select_median(n, entries, lambda: upper_strip_sq_dists(x))
 
 
-def _select_median(n: int, entries, block) -> float:
+def _select_median(n: int, entries, strips) -> float:
     """Median of the square roots above the diagonal of an n x n matrix, never stored.
 
     ``entries(flat)`` gives the matrix entries at the flat indices i * n + j,
-    and ``block(start, stop, out)`` writes rows start..stop-1 from column
-    start on into the (stop - start, n - start) array ``out``. Exact
-    selection by bracketing (Floyd & Rivest 1975): _MEDIAN_SAMPLE entries,
-    drawn with a fixed seed, give a value bracket [lo, hi] around the
-    middle ranks. One pass over the upper triangle, along
-    ``kernels.upper_strips``, counts the values <= lo and < hi and gathers
+    and ``strips()`` a fresh walk along ``kernels.upper_strips``: (start,
+    vals, upper) per strip, ``vals`` holding rows start..stop-1 from column
+    start on and ``upper`` the mask of its diagonal block. Exact selection
+    by bracketing (Floyd & Rivest 1975): _MEDIAN_SAMPLE entries, drawn with
+    a fixed seed, give a value bracket [lo, hi] around the middle ranks.
+    One pass over the strips counts the values <= lo and < hi and gathers
     those strictly between (about 3% of the pairs); ties at a bound are
     counted, never gathered. A rank the bracket misses widens it on that
     side, the old bound becoming the new opposite one, so a value tied at it
@@ -104,7 +100,7 @@ def _select_median(n: int, entries, block) -> float:
     while True:
         lo = sample[lo_pos] if lo_pos >= 0 else -np.inf  # no squared distance is below 0
         hi = sample[hi_pos] if hi_pos < m else None  # None: no upper bound, NaN included
-        le, lt, inside = _bracket_pass(n, block, lo, hi)
+        le, lt, inside = _bracket_pass(strips(), lo, hi)
         le_at[lo], lt_at[hi] = le, lt
         want = [k - le for k in ks if k not in found and le <= k < lt]
         if want:  # one partition; the rank below it is the max of its left part
@@ -128,34 +124,26 @@ def _select_median(n: int, entries, block) -> float:
             lo_pos, hi_pos = hi_pos, min(m, max(hi_pos + width, above))
 
 
-def _bracket_pass(n, block, lo, hi):
+def _bracket_pass(strips, lo, hi):
     """(count <= lo, count < hi, values strictly between) over the upper triangle.
 
     ``hi`` None counts every value and gathers all those above ``lo``. Each
-    strip of ``upper_strips`` right of its first row's diagonal is written
-    by ``block`` into one reused buffer, and its entries on and below the
-    diagonal are set to -inf: both counts take them, so they are subtracted,
-    and the gather takes none. The values are compared into two more buffers.
+    strip's values are compared as they are handed over, its entries on and
+    below the diagonal masked out by ``upper`` before the counts and the
+    gather, so neither takes them.
     """
-    size = max(STRIP_ELEMENTS, n)
-    buf, at_lo, inside = np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     le = lt = 0
     parts = []
-    for start, stop, upper in upper_strips(n):
-        h = stop - start
-        vals, b, u = (a[: h * (n - start)].reshape(h, n - start) for a in (buf, at_lo, inside))
-        block(start, stop, vals)
-        np.copyto(vals[:, :h], -np.inf, where=~upper)
-        np.less_equal(vals, lo, out=b)
-        if hi is None:
-            u.fill(True)
-        else:
-            np.less(vals, hi, out=u)
-        masked = h * (h + 1) // 2
-        le += np.count_nonzero(b) - masked
-        lt += np.count_nonzero(u) - masked
-        np.greater(u, b, out=u)  # < hi and not <= lo
-        parts.append(buf.take(np.flatnonzero(u)))
+    for _, vals, upper in strips:
+        h = len(upper)
+        at_lo = vals <= lo
+        inside = np.ones_like(at_lo) if hi is None else vals < hi
+        at_lo[:, :h] &= upper
+        inside[:, :h] &= upper
+        le += np.count_nonzero(at_lo)
+        lt += np.count_nonzero(inside)
+        np.greater(inside, at_lo, out=inside)  # < hi and not <= lo
+        parts.append(vals[inside])
     return le, lt, np.concatenate(parts)
 
 

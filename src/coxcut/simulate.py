@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from .classify import ClassModel
+from .data import _covariate_fault
 from .kernels import Kernel
 
 # Sampling a field holds three n x n float64 matrices over its n cells at
@@ -45,6 +46,15 @@ class Window:
             raise ValueError("window corners must be finite")
         if not np.all(hi > lo):
             raise ValueError("upper corner must exceed lower corner componentwise")
+        # every cell center lies within the farthest corner, max(-lower, upper),
+        # so the loaders' bound on it bounds the centers' squared distances
+        with np.errstate(over="ignore"):
+            widths = hi - lo
+        if not np.all(np.isfinite(widths)) or _covariate_fault(np.maximum(-lo, hi)[None]):
+            raise ValueError(
+                "window too large: its widths or the squared distances between "
+                "its cell centers overflow float64"
+            )
         if int(self.grid_resolution) < 1:
             raise ValueError("grid_resolution must be >= 1")
         object.__setattr__(self, "lower", lo)

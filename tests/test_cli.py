@@ -200,6 +200,22 @@ class TestSimulate:
         ]
         assert not (tmp_path / "field.csv").exists()
 
+    # corners that pass the finite and order checks, but whose widths
+    # (upper - lower) or cell centers' squared distances overflow
+    @pytest.mark.parametrize("window", ["0,0,1e200,1e200", "0,1e155", "0,1e154", "-1e308,1e308"])
+    def test_window_whose_distances_overflow_is_one_line_error(self, tmp_path, window):
+        argv = ["simulate", "--window", window, "--grid", "2",
+                "--out-field", str(tmp_path / "field.csv"),
+                "--out-points", str(tmp_path / "points.csv")]
+        res = subprocess.run([sys.executable, "-m", "coxcut", *argv], capture_output=True,
+                             text=True, env=_module_env(), timeout=120)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "coxcut: error: window too large: its widths or the squared distances between "
+            "its cell centers overflow float64"
+        ]
+        assert not (tmp_path / "field.csv").exists()
+
     def test_grid_past_the_byte_guard_is_one_line_error(self, tmp_path):
         # 10,000 cells passed the old cell count guard and then needed a 0.8 GB gram
         argv = ["simulate", "--window", "0,1", "--grid", "10000",

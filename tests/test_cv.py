@@ -22,6 +22,7 @@ from coxcut import (
     Kernel,
 )
 from coxcut.cv import _median_distance, _select_median
+from coxcut.kernels import upper_strips
 
 # Peak of a cross-validation call's traced allocations: a few row strips of
 # kernels.STRIP_ELEMENTS float64 entries and O(n) vectors, never an n x n array.
@@ -30,8 +31,11 @@ STRIPS_BYTES = 4 << 20
 
 def _matrix_median(d2):
     # the selection fed from a stored matrix: its sample and its strips read d2
-    block = lambda start, stop, out: np.copyto(out, d2[start:stop, start:])  # noqa: E731
-    return _select_median(len(d2), d2.reshape(-1).take, block)
+    def strips():
+        for start, stop, upper in upper_strips(len(d2)):
+            yield start, d2[start:stop, start:], upper
+
+    return _select_median(len(d2), d2.reshape(-1).take, strips)
 
 
 def _clusters(n=20, gap=10.0, seed=0):

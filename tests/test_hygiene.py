@@ -1,5 +1,6 @@
 """Static checks over the package sources: no dead private name, no unused import,
-and an ``__all__`` that lists exactly what ``__init__`` imports.
+an ``__all__`` that lists exactly what ``__init__`` imports, and an argv
+property test with a strategy for every CLI command.
 
 The scans read the modules with ``ast`` only, so they need no linter.
 """
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import coxcut
+from coxcut.cli import _COMMANDS
+from test_cli_argv import ARGV
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coxcut"
 MODULES = sorted(SRC.glob("*.py"))
@@ -79,3 +82,8 @@ def test_all_lists_exactly_the_names_init_imports():
     assert sorted(set(coxcut.__all__)) == sorted(coxcut.__all__)
     assert set(imported) == set(coxcut.__all__)
     assert [name for name in coxcut.__all__ if not hasattr(coxcut, name)] == []
+
+
+def test_argv_property_covers_every_command():
+    # a new subcommand fails here until test_cli_argv draws its argv
+    assert sorted(ARGV) == sorted(_COMMANDS)
